@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import specfun
 from .exceptions import BoundNotApplicableError, DomainError, DSolverError
 from .integrals import (
     IntegralSpec,
@@ -106,17 +105,9 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
     return BoundCoefficients(a, b, c)
 
 
-def _struve_over_xnu(order: float, nu: float, x: float) -> float:
-    """L_order(x) / x^nu, routed through the scaled evaluation for large x."""
-    if x <= specfun.SCALED_SWITCH_X:
-        return struve_l(order, x).value * x ** (-nu)
-    return struve_l_scaled(order, x).value * math.exp(x) * x ** (-nu)
-
-
-def _damped_struve_over_xnu(gamma: float, order: float, nu: float, x: float) -> float:
-    """exp(-gamma x) L_order(x) / x^nu without forming L_order(x) alone."""
-    if x <= specfun.SCALED_SWITCH_X:
-        return math.exp(-gamma * x) * struve_l(order, x).value * x ** (-nu)
+def _struve_over_xnu(order: float, nu: float, x: float, gamma: float = 0.0) -> float:
+    """exp(-gamma x) L_order(x) / x^nu, assembled from the scaled value so
+    that L_order(x) is never formed alone."""
     return struve_l_scaled(order, x).value * math.exp((1.0 - gamma) * x) * x ** (-nu)
 
 
@@ -195,7 +186,7 @@ def lower_bi5(gamma: float, nu: float, x: float) -> float:
     _check_damped_domain(gamma, nu, x, "bi5")
     u = gamma * x
     tail = (1.0 + u) * (-math.expm1(-u)) / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5))
-    inner = _damped_struve_over_xnu(gamma, nu, nu, x) - tail
+    inner = _struve_over_xnu(nu, nu, x, gamma) - tail
     return inner / (1.0 - gamma)
 
 
@@ -212,18 +203,12 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
     """x^nu / L_{nu+n}(x) times the undamped integral.
 
     Tends to 0 as x drops to 0 and to 1 as x grows; its supremum is the
-    constant D.  Large arguments cancel the exp(x) growth analytically by
-    pairing the scaled integral with the scaled Struve value.
+    constant D.  The exp(x) growth cancels analytically by pairing the
+    scaled integral with the scaled Struve value.
     """
     _check_ratio_domain(nu, n, "ratio_fn")
     if x <= 0.0:
         raise DomainError(f"ratio_fn requires x > 0, got x={x}")
-    if x <= specfun.SCALED_SWITCH_X:
-        return (
-            x**nu
-            * integral_power_series(nu, n, x).value
-            / struve_l(nu + n, x).value
-        )
     return (
         x**nu
         * integral_power_series_scaled(nu, n, x).value

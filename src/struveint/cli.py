@@ -18,6 +18,7 @@ import sys
 
 import click
 
+from . import __version__
 from .bounds import d_constant
 from .exceptions import DomainError, DSolverError
 from .gridcheck import (
@@ -47,7 +48,7 @@ def _fail(exc: Exception) -> None:
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="struveint")
+@click.version_option(version=__version__, prog_name="struveint")
 def cli():
     """Modified Struve integrals, their bounds, and grid verification."""
 
@@ -67,19 +68,7 @@ def cmd_eval(function, nu, n, gamma, x, fmt, out):
     if function != "integral" and (n is not None or gamma is not None):
         raise click.UsageError("--n and --gamma only apply to 'integral'")
     try:
-        if function == "struve-l":
-            result = struve_l(nu, x)
-            row = {"function": function, "nu": nu, "x": x,
-                   "value": result.value,
-                   "abs_error_estimate": result.abs_error_estimate,
-                   "terms_used": result.terms_used}
-        elif function == "struve-l-scaled":
-            result = struve_l_scaled(nu, x)
-            row = {"function": function, "nu": nu, "x": x,
-                   "value": result.value,
-                   "abs_error_estimate": result.abs_error_estimate,
-                   "terms_used": result.terms_used}
-        else:
+        if function == "integral":
             spec = IntegralSpec(gamma if gamma is not None else 0.0,
                                 nu, n if n is not None else 0.0, x)
             q = integral_quadrature(spec)
@@ -87,6 +76,13 @@ def cmd_eval(function, nu, n, gamma, x, fmt, out):
                    "n": spec.n, "x": spec.x, "value": q.value,
                    "abs_error_estimate": q.abs_error_estimate,
                    "subdivisions": q.subdivisions}
+        else:
+            fn = {"struve-l": struve_l, "struve-l-scaled": struve_l_scaled}[function]
+            result = fn(nu, x)
+            row = {"function": function, "nu": nu, "x": x,
+                   "value": result.value,
+                   "abs_error_estimate": result.abs_error_estimate,
+                   "terms_used": result.terms_used}
     except (DomainError, OverflowError, DSolverError) as exc:
         _fail(exc)
     _emit(_format_row(row, fmt), out)

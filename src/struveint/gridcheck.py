@@ -29,7 +29,7 @@ from .integrals import (
     log_asymptotic_integral,
     log_integral_quadrature,
 )
-from .specfun import struve_l, struve_l_scaled
+from .specfun import struve_l_scaled
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "oracle_rel": 1e-9,
@@ -344,12 +344,8 @@ def check_struve_monotonicity(config: GridConfig) -> CheckResult:
         for x in IMON_X:
             if nu == 0.5 and x > IMON_HALF_ORDER_MAX_X:
                 continue
-            if x > 30.0:
-                hi = struve_l_scaled(nu - 1.0, x).value
-                lo = struve_l_scaled(nu, x).value
-            else:
-                hi = struve_l(nu - 1.0, x).value
-                lo = struve_l(nu, x).value
+            hi = struve_l_scaled(nu - 1.0, x).value
+            lo = struve_l_scaled(nu, x).value
             points += 1
             worst.update((hi - lo) / hi, nu=nu, x=x)
     return CheckResult(

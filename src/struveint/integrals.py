@@ -23,16 +23,14 @@ from .specfun import (
     SQRT_PI,
     SQRT_TWO_PI,
     SeriesEval,
-    _scaled_cap,
-    _sum_series,
-    _sum_series_log,
     gamma_fn,
     log_gamma,
     log_lower_incomplete_gamma,
     pfq,
+    series_cap,
     struve_l,
     struve_l_scaled,
-    term_cap,
+    sum_series,
 )
 
 #: Default relative tolerance for the adaptive quadrature route.
@@ -57,12 +55,12 @@ class IntegralSpec:
             raise DomainError(f"damping must satisfy 0 <= gamma < 1, got {self.gamma}")
         if not self.n > -1.0:
             raise DomainError(f"order shift must satisfy n > -1, got {self.n}")
-        if not self.nu + self.n > -1.5:
+        if not -1.5 < self.nu + self.n < math.inf:
             raise DomainError(
                 f"nu + n must exceed -3/2, got nu={self.nu}, n={self.n}"
             )
-        if not self.x > 0.0:
-            raise DomainError(f"upper limit must be positive, got x={self.x}")
+        if not 0.0 < self.x < math.inf:
+            raise DomainError(f"upper limit must be finite and > 0, got x={self.x}")
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,6 @@ def _quadrature_scaled(
     Returns (scaled value, scaled error, subdivisions, log offset) with
     true integral = exp(offset) * scaled value.
     """
-    if spec.x <= specfun.SCALED_SWITCH_X:
-        value, err, n = adaptive_quadrature(
-            lambda t: integrand(spec, t),
-            0.0,
-            spec.x,
-            rel_tol=rel_tol,
-            max_subdivisions=max_subdivisions,
-        )
-        return value, err, n, 0.0
     offset = (1.0 - spec.gamma) * spec.x
     value, err, n = adaptive_quadrature(
         lambda t: _scaled_integrand(spec, offset, t),
@@ -129,8 +118,8 @@ def integral_quadrature(
 ) -> QuadratureResult:
     """Evaluate the damped integral by adaptive Gauss-Kronrod quadrature.
 
-    Above the scaling threshold the integrand is integrated in offset
-    form exp((1-gamma)t - (1-gamma)x) t^(-nu) [e^-t L_{nu+n}(t)] and the
+    The integrand is integrated in offset form
+    exp((1-gamma)t - (1-gamma)x) t^(-nu) [e^-t L_{nu+n}(t)] and the
     offset is restored afterwards.
     """
     value, err, n, offset = _quadrature_scaled(spec, rel_tol, max_subdivisions)
@@ -176,76 +165,49 @@ def integral_power_series(
     term:  sum over k of
         (1/2)^(nu+n+2k+1) x^(n+2k+2) / ((n+2k+2) Gamma(k+3/2) Gamma(k+nu+n+3/2)).
     """
-    _check_undamped_args(nu, n, x)
-    if x == 0.0:
-        return SeriesEval(0.0, 0.0, 0, True)
-    if x > specfun.OVERFLOW_X:
-        raise OverflowError(
-            f"integral_power_series overflows for x > {specfun.OVERFLOW_X:g}; "
-            "use integral_power_series_scaled"
-        )
-    cap = max_terms if max_terms is not None else term_cap()
-    if x <= specfun.SCALED_SWITCH_X:
-        t0 = (
-            0.5 ** (nu + n + 1.0)
-            * x ** (n + 2.0)
-            / ((n + 2.0) * gamma_fn(1.5) * gamma_fn(nu + n + 1.5))
-        )
-        q2 = 0.25 * x * x
-
-        def ratio(k: int) -> float:
-            return (
-                q2
-                * (n + 2.0 * k + 2.0)
-                / ((n + 2.0 * k + 4.0) * (k + 1.5) * (k + nu + n + 1.5))
-            )
-
-        out = _sum_series(t0, ratio, cap)
-    else:
-        scaled = integral_power_series_scaled(nu, n, x, max_terms=max_terms)
-        out = SeriesEval(
-            math.exp(x) * scaled.value,
-            math.exp(x) * scaled.abs_error_estimate,
-            scaled.terms_used,
-            scaled.converged,
-        )
-    if not out.converged:
-        raise _series_failure("integral_power_series", cap, nu=nu, n=n, x=x)
-    return out
+    return _power_series(nu, n, x, 0.0, max_terms)
 
 
 def integral_power_series_scaled(
     nu: float, n: float, x: float, max_terms: int | None = None
 ) -> SeriesEval:
-    """exp(-x) times the undamped integral, summed in log space so large
-    upper limits stay finite."""
+    """exp(-x) times the undamped integral; the exp(-x) is folded into the
+    first term, so large upper limits stay finite."""
+    return _power_series(nu, n, x, x, max_terms)
+
+
+def _power_series(
+    nu: float, n: float, x: float, offset: float, max_terms: int | None
+) -> SeriesEval:
+    # exp(-offset) times the undamped integral; offset is 0 or x.
     _check_undamped_args(nu, n, x)
+    if x - offset > specfun.OVERFLOW_X:
+        raise OverflowError(
+            f"integral_power_series overflows for x > {specfun.OVERFLOW_X:g}; "
+            "use integral_power_series_scaled"
+        )
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0, True)
-    cap = _scaled_cap(x, max_terms if max_terms is not None else term_cap())
-    log_half = math.log(0.5)
-    log_x = math.log(x)
-    log_t0 = (
-        (nu + n + 1.0) * log_half
-        + (n + 2.0) * log_x
+    cap = series_cap(x, max_terms)
+    log_first = (
+        (nu + n + 1.0) * math.log(0.5)
+        + (n + 2.0) * math.log(x)
         - math.log(n + 2.0)
         - log_gamma(1.5)
         - log_gamma(nu + n + 1.5)
     )
-    two_log_hx = 2.0 * (log_x + log_half)
+    q2 = 0.25 * x * x
 
-    def log_ratio(k: int) -> float:
+    def ratio(k: int) -> float:
         return (
-            two_log_hx
-            + math.log(n + 2.0 * k + 2.0)
-            - math.log(n + 2.0 * k + 4.0)
-            - math.log(k + 1.5)
-            - math.log(k + nu + n + 1.5)
+            q2
+            * (n + 2.0 * k + 2.0)
+            / ((n + 2.0 * k + 4.0) * (k + 1.5) * (k + nu + n + 1.5))
         )
 
-    out = _sum_series_log(log_t0, log_ratio, x, cap)
+    out = sum_series(log_first, ratio, offset, cap)
     if not out.converged:
-        raise _series_failure("integral_power_series_scaled", cap, nu=nu, n=n, x=x)
+        raise _series_failure("integral_power_series", cap, nu=nu, n=n, x=x)
     return out
 
 
@@ -265,40 +227,32 @@ def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> 
             "use integral_power_series for the undamped case"
         )
     gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
-    cap = max_terms if max_terms is not None else term_cap()
-    if x > specfun.SCALED_SWITCH_X:
-        cap = _scaled_cap(x, cap)
+    cap = series_cap(x, max_terms)
     log_half = math.log(0.5)
     log_gam = math.log(gamma)
     gx = gamma * x
-    total = 0.0
-    prev = math.inf
-    term = 0.0
-    small = 0
-    converged = False
-    terms_used = cap
-    for k in range(cap):
+
+    def log_term(k: int) -> float:
         s = n + 2.0 * k + 2.0
-        log_term = (
+        return (
             (nu + n + 2.0 * k + 1.0) * log_half
             - log_gamma(k + 1.5)
             - log_gamma(k + nu + n + 1.5)
             - s * log_gam
             + log_lower_incomplete_gamma(s, gx)
         )
-        term = math.exp(log_term) if log_term > -745.0 else 0.0
-        total += term
-        if term < prev and total > 0.0 and term <= specfun.REL_TERM_TOL * total:
-            small += 1
-            if small == 2:
-                converged = True
-                terms_used = k + 1
-                break
-        else:
-            small = 0
-        prev = term
-    out = SeriesEval(total, 2.0 * term, terms_used, converged)
-    if not converged:
+
+    prev = log_term(0)
+
+    def ratio(k: int) -> float:
+        nonlocal prev
+        cur = log_term(k + 1)
+        q = math.exp(cur - prev)
+        prev = cur
+        return q
+
+    out = sum_series(prev, ratio, 0.0, cap)
+    if not out.converged:
         raise _series_failure(
             "integral_series_oracle", cap, gamma=gamma, nu=nu, n=n, x=x
         )
@@ -325,10 +279,10 @@ def log_asymptotic_integral(spec: IntegralSpec) -> float:
 def _check_undamped_args(nu: float, n: float, x: float) -> None:
     if not n > -1.0:
         raise DomainError(f"order shift must satisfy n > -1, got {n}")
-    if not nu + n > -1.5:
+    if not -1.5 < nu + n < math.inf:
         raise DomainError(f"nu + n must exceed -3/2, got nu={nu}, n={n}")
-    if x < 0.0:
-        raise DomainError(f"upper limit must be nonnegative, got x={x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"upper limit must be finite and nonnegative, got x={x}")
 
 
 def _series_failure(name: str, cap: int, **params) -> ConvergenceError:

@@ -1,10 +1,11 @@
 """Scalar special functions underlying the integral bounds.
 
-Gamma and log-gamma (Lanczos), the lower incomplete gamma function,
-Pochhammer symbols, generalized hypergeometric series, and the modified
-Struve function of the first kind L_nu in plain and exponentially scaled
-form.  Everything here is a pure function of its arguments; there is no
-shared mutable state.
+Gamma and log-gamma (the stdlib's, behind domain checks), the lower
+incomplete gamma function, Pochhammer symbols, generalized
+hypergeometric series, and the modified Struve function of the first
+kind L_nu in plain and exponentially scaled form.  Every power series is
+summed by one kernel, sum_series.  Everything here is a pure function of
+its arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -28,23 +29,22 @@ REL_TERM_TOL = 1e-16
 #: Plain (unscaled) evaluation of L_nu refuses arguments above this.
 OVERFLOW_X = 700.0
 
-#: Below this the scaled evaluator just rescales the plain series.
+#: Past this argument the term cap grows with x (see _scaled_cap).
 SCALED_SWITCH_X = 30.0
 
-# Lanczos approximation, g = 7 with the standard 9-coefficient double
-# precision set; relative error ~1e-15 on the positive half line.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+#: Term and iteration cap of the incomplete gamma series and fraction.
+_INCGAMMA_CAP = 10000
+
+# sum_series divides its partial sum by _RESCALE (an exact power of two)
+# whenever the sum passes it, and starts from a mantissa near 1 when the
+# first term would be below exp(_LOG_TINY).
+_RESCALE_BITS = 930
+_RESCALE = 2.0**_RESCALE_BITS
+_LOG_TINY = -700.0
+_LN2 = math.log(2.0)
+# Cody-Waite split of ln 2: bits * _LN2_HI is exact for |bits| < 2**21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def term_cap() -> int:
@@ -68,42 +68,22 @@ class SeriesEval:
     converged: bool
 
 
-def _lanczos_series(z: float) -> float:
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z - 1.0 + i)
-    return acc
-
-
 def gamma_fn(x: float) -> float:
-    """Gamma function for positive real arguments.
+    """Gamma function for positive finite arguments (math.gamma).
 
-    Arguments below 1/2 go through one step of the recurrence
-    Gamma(x) = Gamma(x+1)/x; no reflection formula is needed because the
-    whole package only ever forms gamma of positive quantities.
+    The whole package only ever forms gamma of positive quantities.
     """
-    if x <= 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got x={x}")
-    if x < 0.5:
-        return gamma_fn(x + 1.0) / x
-    t = x + _LANCZOS_G - 0.5
-    return SQRT_TWO_PI * t ** (x - 0.5) * math.exp(-t) * _lanczos_series(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"gamma_fn requires finite x > 0, got x={x}")
+    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, safe for arguments far beyond gamma_fn's
-    overflow point (needed by the log-space series summations)."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got x={x}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    t = x + _LANCZOS_G - 0.5
-    return (
-        0.5 * math.log(2.0 * math.pi)
-        + (x - 0.5) * math.log(t)
-        - t
-        + math.log(_lanczos_series(x))
-    )
+    """log Gamma(x) for finite x > 0 (math.lgamma), safe far beyond
+    gamma_fn's overflow point."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma requires finite x > 0, got x={x}")
+    return math.lgamma(x)
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -116,8 +96,15 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
-def _sum_series(first_term: float, ratio: Callable[[int], float], cap: int) -> SeriesEval:
-    """Sum t_0, t_1, ... where ratio(k) = t_{k+1}/t_k.
+def sum_series(
+    log_first: float, ratio: Callable[[int], float], offset: float, cap: int
+) -> SeriesEval:
+    """Sum t_0 = exp(log_first - offset), t_{k+1} = t_k * ratio(k).
+
+    The terms are summed in plain arithmetic relative to a running binary
+    exponent, so a series whose terms leave the binary64 range on the way
+    stays finite: exp(-x) L_nu(x) at x = 1e4 starts near exp(-1e4), and
+    its unscaled terms peak near exp(1e4).
 
     Stops after two consecutive terms below REL_TERM_TOL relative to the
     partial sum.  The stop test only arms once |ratio| < 1, so series
@@ -125,8 +112,14 @@ def _sum_series(first_term: float, ratio: Callable[[int], float], cap: int) -> S
     estimate 2*|last term| is safe because past that point the terms
     decay at least geometrically.
     """
-    total = first_term
-    term = first_term
+    c = log_first - offset
+    bits = 0
+    if c < _LOG_TINY:
+        bits = round(c / _LN2)
+        # Both subtractions are exact when |log_first| is small next to
+        # offset, so the reduced exponent is as accurate as log_first.
+        c = ((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO
+    total = term = math.exp(c)
     small = 0
     for k in range(cap - 1):
         q = ratio(k)
@@ -135,44 +128,34 @@ def _sum_series(first_term: float, ratio: Callable[[int], float], cap: int) -> S
         if abs(q) < 1.0 and abs(term) <= REL_TERM_TOL * abs(total):
             small += 1
             if small == 2:
-                return SeriesEval(total, 2.0 * abs(term), k + 2, True)
+                return _rescaled(total, term, bits, k + 2, True)
         else:
             small = 0
-    return SeriesEval(total, 2.0 * abs(term), cap, False)
+            if not -_RESCALE < total < _RESCALE:
+                total /= _RESCALE
+                term /= _RESCALE
+                bits += _RESCALE_BITS
+    return _rescaled(total, term, bits, cap, False)
 
 
-def _sum_series_log(
-    log_first: float, log_ratio: Callable[[int], float], offset: float, cap: int
-) -> SeriesEval:
-    """Sum exp(log t_k - offset) for a positive-term series.
-
-    Individual terms may be astronomically large before scaling; only the
-    scaled contributions are ever materialized, so nothing overflows.
-    Contributions below exp(-745) underflow harmlessly to zero.
-    """
-    lt = log_first
-    total = 0.0
-    small = 0
-    term = 0.0
-    for k in range(cap):
-        c = lt - offset
-        term = math.exp(c) if c > -745.0 else 0.0
-        total += term
-        lq = log_ratio(k)
-        lt += lq
-        if lq < 0.0 and total > 0.0 and term <= REL_TERM_TOL * total:
-            small += 1
-            if small == 2:
-                return SeriesEval(total, 2.0 * term, k + 1, True)
-        else:
-            small = 0
-    return SeriesEval(total, 2.0 * term, cap, False)
+def _rescaled(total: float, term: float, bits: int, used: int, ok: bool) -> SeriesEval:
+    return SeriesEval(
+        math.ldexp(total, bits), math.ldexp(2.0 * abs(term), bits), used, ok
+    )
 
 
 def _scaled_cap(x: float, cap: int) -> int:
-    # The series needs ~x/2 terms before its terms even start decaying,
-    # so the configured cap is extended for large scaled arguments.
+    # The series in x needs ~x/2 terms before its terms even start
+    # decaying, so past SCALED_SWITCH_X the cap is extended.
+    if x <= SCALED_SWITCH_X:
+        return cap
     return max(cap, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
+
+
+def series_cap(x: float, max_terms: int | None = None) -> int:
+    """Term cap for a power series in x: max_terms (default term_cap()),
+    extended for large x to what the series needs (see _scaled_cap)."""
+    return _scaled_cap(x, max_terms if max_terms is not None else term_cap())
 
 
 def _check_pfq_params(a: Sequence[float], b: Sequence[float], z: float) -> None:
@@ -214,18 +197,13 @@ def pfq(
             den *= bj + k
         return num / den * z / (k + 1.0)
 
-    out = _sum_series(1.0, ratio, cap)
+    out = sum_series(0.0, ratio, 0.0, cap)
     if not out.converged:
         raise ConvergenceError(
             f"pFq series did not converge within {cap} terms "
             f"(partial sum {out.value!r})"
         )
     return out
-
-
-def _check_struve_order(nu: float) -> None:
-    if nu <= -1.5:
-        raise DomainError(f"modified Struve order must exceed -3/2, got nu={nu}")
 
 
 def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
@@ -236,10 +214,28 @@ def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
     and x below the binary64 overflow threshold; use struve_l_scaled for
     larger arguments.
     """
-    _check_struve_order(nu)
-    if x < 0.0:
-        raise DomainError(f"struve_l requires x >= 0, got x={x}")
-    if x > OVERFLOW_X:
+    return _struve_series(nu, x, 0.0, max_terms)
+
+
+def struve_l_scaled(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
+    """Exponentially scaled modified Struve function, exp(-x) * L_nu(x).
+
+    The same power series as struve_l with the exp(-x) folded into its
+    first term; the summation kernel's running exponent keeps it finite
+    for x well past 1e4.  Past x = 30 the term cap grows with x.
+    """
+    return _struve_series(nu, x, x, max_terms)
+
+
+def _struve_series(
+    nu: float, x: float, offset: float, max_terms: int | None
+) -> SeriesEval:
+    # exp(-offset) * L_nu(x); offset is 0 (struve_l) or x (struve_l_scaled).
+    if not -1.5 < nu < math.inf:
+        raise DomainError(f"modified Struve order must exceed -3/2, got nu={nu}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"struve_l requires finite x >= 0, got x={x}")
+    if x - offset > OVERFLOW_X:
         raise OverflowError(
             f"struve_l overflows for x > {OVERFLOW_X:g} (x={x}); "
             "use struve_l_scaled"
@@ -247,54 +243,20 @@ def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0, True)
     cap = max_terms if max_terms is not None else term_cap()
+    if offset:
+        cap = _scaled_cap(x, cap)
     h = 0.5 * x
-    t0 = h ** (nu + 1.0) / (gamma_fn(1.5) * gamma_fn(nu + 1.5))
     h2 = h * h
 
     def ratio(k: int) -> float:
         return h2 / ((k + 1.5) * (k + nu + 1.5))
 
-    out = _sum_series(t0, ratio, cap)
+    log_first = (nu + 1.0) * math.log(h) - log_gamma(1.5) - log_gamma(nu + 1.5)
+    out = sum_series(log_first, ratio, offset, cap)
     if not out.converged:
         raise ConvergenceError(
-            f"struve_l series did not converge within {cap} terms "
-            f"(nu={nu}, x={x})"
-        )
-    return out
-
-
-def struve_l_scaled(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
-    """Exponentially scaled modified Struve function, exp(-x) * L_nu(x).
-
-    For moderate x this rescales the plain series; beyond that the terms
-    are accumulated in log space with the exp(-x) offset folded in, which
-    keeps the evaluation finite for x well past 1e4.
-    """
-    _check_struve_order(nu)
-    if x < 0.0:
-        raise DomainError(f"struve_l_scaled requires x >= 0, got x={x}")
-    if x == 0.0:
-        return SeriesEval(0.0, 0.0, 0, True)
-    if x <= SCALED_SWITCH_X:
-        plain = struve_l(nu, x, max_terms=max_terms)
-        s = math.exp(-x)
-        return SeriesEval(
-            s * plain.value, s * plain.abs_error_estimate, plain.terms_used, True
-        )
-    cap = _scaled_cap(x, max_terms if max_terms is not None else term_cap())
-    h = 0.5 * x
-    log_h = math.log(h)
-    log_t0 = (nu + 1.0) * log_h - log_gamma(1.5) - log_gamma(nu + 1.5)
-    two_log_h = 2.0 * log_h
-
-    def log_ratio(k: int) -> float:
-        return two_log_h - math.log(k + 1.5) - math.log(k + nu + 1.5)
-
-    out = _sum_series_log(log_t0, log_ratio, x, cap)
-    if not out.converged:
-        raise ConvergenceError(
-            f"scaled struve_l series did not converge within {cap} terms "
-            f"(nu={nu}, x={x})"
+            f"{'scaled ' if offset else ''}struve_l series did not converge "
+            f"within {cap} terms (nu={nu}, x={x})"
         )
     return out
 
@@ -303,12 +265,13 @@ def regularized_gamma_p(s: float, z: float) -> float:
     """Regularized lower incomplete gamma P(s, z) in [0, 1].
 
     Series expansion for z < s+1, Lentz continued fraction for the
-    complement otherwise (the classic split).
+    complement otherwise (the classic split).  Raises ConvergenceError
+    when either runs out of its 10,000 terms.
     """
-    if s <= 0.0:
-        raise DomainError(f"regularized_gamma_p requires s > 0, got s={s}")
-    if z < 0.0:
-        raise DomainError(f"regularized_gamma_p requires z >= 0, got z={z}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"regularized_gamma_p requires finite s > 0, got s={s}")
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"regularized_gamma_p requires finite z >= 0, got z={z}")
     if z == 0.0:
         return 0.0
     if z < s + 1.0:
@@ -318,16 +281,13 @@ def regularized_gamma_p(s: float, z: float) -> float:
 
 def _log_gser(s: float, z: float) -> float:
     # log of the series form of P(s, z); valid for z < s+1.
-    ap = s
-    total = 1.0 / s
-    delt = total
-    for _ in range(10000):
-        ap += 1.0
-        delt *= z / ap
-        total += delt
-        if abs(delt) < abs(total) * 1e-17:
-            break
-    return s * math.log(z) - z - log_gamma(s) + math.log(total)
+    out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0, _INCGAMMA_CAP)
+    if not out.converged:
+        raise ConvergenceError(
+            f"incomplete gamma series did not converge within {_INCGAMMA_CAP} "
+            f"terms (s={s}, z={z})"
+        )
+    return s * math.log(z) - z - log_gamma(s) + math.log(out.value)
 
 
 def _gcf_q(s: float, z: float) -> float:
@@ -337,7 +297,7 @@ def _gcf_q(s: float, z: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 10000):
+    for i in range(1, _INCGAMMA_CAP):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -351,6 +311,11 @@ def _gcf_q(s: float, z: float) -> float:
         h *= delt
         if abs(delt - 1.0) < 1e-16:
             break
+    else:
+        raise ConvergenceError(
+            f"incomplete gamma continued fraction did not converge within "
+            f"{_INCGAMMA_CAP} iterations (s={s}, z={z})"
+        )
     return math.exp(s * math.log(z) - z - log_gamma(s)) * h
 
 
@@ -362,10 +327,10 @@ def lower_incomplete_gamma(s: float, z: float) -> float:
 def log_lower_incomplete_gamma(s: float, z: float) -> float:
     """log of the lower incomplete gamma; finite for s far beyond the
     point where gamma_fn overflows.  Requires z > 0."""
-    if z <= 0.0:
-        raise DomainError(f"log_lower_incomplete_gamma requires z > 0, got z={z}")
-    if s <= 0.0:
-        raise DomainError(f"log_lower_incomplete_gamma requires s > 0, got s={s}")
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"log_lower_incomplete_gamma needs finite z > 0, got z={z}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"log_lower_incomplete_gamma needs finite s > 0, got s={s}")
     if z < s + 1.0:
         return _log_gser(s, z) + log_gamma(s)
     return math.log1p(-_gcf_q(s, z)) + log_gamma(s)

@@ -13,6 +13,7 @@ from scipy.special import modstruve
 
 from conftest import log_grid, rel_err
 from struveint.exceptions import ConvergenceError, DomainError
+from struveint.integrals import IntegralSpec
 from struveint.specfun import (
     DEFAULT_MAX_TERMS,
     SQRT_PI,
@@ -134,6 +135,12 @@ def test_incgamma_regularized_in_unit_interval():
     for s, z in [(2.0, 0.5), (5.0, 5.0), (0.7, 9.0)]:
         p = regularized_gamma_p(s, z)
         assert 0.0 <= p <= 1.0
+
+
+def test_incgamma_series_non_convergence_raises():
+    # P(1e9, 1e9 - 1) is about 0.5, but its series needs ~3e5 terms
+    with pytest.raises(ConvergenceError):
+        regularized_gamma_p(1e9, 1e9 - 1.0)
 
 
 def test_incgamma_domain():
@@ -317,6 +324,46 @@ def test_scaled_no_overflow_far_out(x):
     got = struve_l_scaled(1.0, x).value
     assert math.isfinite(got)
     assert abs(got * math.sqrt(2.0 * math.pi * x) - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("nu,x", [(5.0, 7500.0), (-1.2, 1e4), (10.0, 5000.0)])
+def test_scaled_matches_mpmath_far_out(nu, x):
+    want = mpmath.struvel(nu, x) * mpmath.exp(-x)
+    assert float(abs((struve_l_scaled(nu, x).value - want) / want)) <= 2e-12
+
+
+# ---------------------------------------------------------------------------
+# non-finite arguments
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma_fn(math.nan),
+        lambda: log_gamma(math.nan),
+        lambda: struve_l(math.nan, 1.0),
+        lambda: struve_l(0.0, math.nan),
+        lambda: struve_l_scaled(0.0, math.inf),
+        lambda: struve_l_scaled(0.0, math.nan),
+        lambda: IntegralSpec(0.5, 0.0, 0.0, math.inf),
+        lambda: regularized_gamma_p(math.nan, 1.0),
+        lambda: regularized_gamma_p(1.0, math.inf),
+    ],
+    ids=[
+        "gamma_fn-nan",
+        "log_gamma-nan",
+        "struve_l-nan-order",
+        "struve_l-nan-x",
+        "struve_l_scaled-inf-x",
+        "struve_l_scaled-nan-x",
+        "IntegralSpec-inf-x",
+        "regularized_gamma_p-nan-s",
+        "regularized_gamma_p-inf-z",
+    ],
+)
+def test_non_finite_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------------------
