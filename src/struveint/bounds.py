@@ -24,7 +24,7 @@ from .integrals import (
     integral_power_series_scaled,
     integral_quadrature,
 )
-from .specfun import SQRT_PI, gamma_fn, pfq, struve_l, struve_l_scaled
+from .specfun import SQRT_PI, gamma_fn, struve_l_scaled
 
 #: Grid used by the supremum scan: log-spaced points on [1e-3, 500].
 D_SCAN_POINTS = 200
@@ -306,38 +306,31 @@ def upper_bi8(gamma: float, nu: float, n: float, x: float, d: DConstant) -> floa
     return math.exp(-gamma * x) / (1.0 - d.value * gamma) * upper_bi3(nu, n, x)
 
 
+def _check_corollary_domain(nu: float, x: float) -> None:
+    if nu <= 0.5:
+        raise DomainError(f"corollary requires nu > 1/2, got nu={nu}")
+    if x <= 0.0:
+        raise DomainError(f"corollary requires x > 0, got x={x}")
+
+
 def corollary_middle(nu: float, x: float) -> float:
     """The 2F3 expression sandwiched by the corollary bounds:
 
         x^(nu+1) / (sqrt(pi) 2^nu Gamma(nu+1/2))
             * 2F3(1, 1; 3/2, 2, nu+1/2; x^2/4)
 
-    Identical to x^(nu-1) times the undamped closed form at order nu-1.
+    which is x^(nu-1) times the undamped closed form at order nu-1.
     """
-    if nu <= 0.5:
-        raise DomainError(f"corollary requires nu > 1/2, got nu={nu}")
-    if x <= 0.0:
-        raise DomainError(f"corollary requires x > 0, got x={x}")
-    front = x ** (nu + 1.0) / (SQRT_PI * 2.0**nu * gamma_fn(nu + 0.5))
-    return front * pfq([1.0, 1.0], [1.5, 2.0, nu + 0.5], 0.25 * x * x).value
+    _check_corollary_domain(nu, x)
+    return x ** (nu - 1.0) * integral_closed_form(nu - 1.0, x)
 
 
 def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
-    """Two-sided bounds on corollary_middle built from L_nu and L_{nu+2}."""
-    if nu <= 0.5:
-        raise DomainError(f"corollary requires nu > 1/2, got nu={nu}")
-    if x <= 0.0:
-        raise DomainError(f"corollary requires x > 0, got x={x}")
-    coefs = coefficients(nu - 1.0, 0.0)
-    l_nu = struve_l(nu, x).value
-    lower = l_nu - coefs.a * x ** (nu + 1.0)
-    upper = (
-        2.0 * nu * l_nu
-        - (2.0 * nu - 1.0) * struve_l(nu + 2.0, x).value
-        + coefs.b * x ** (nu + 3.0)
-        - coefs.c * x ** (nu + 1.0)
-    )
-    return lower, upper
+    """Two-sided bounds on corollary_middle: x^(nu-1) times bi2 and bi3
+    at order nu-1, n = 0, so built from L_nu and L_{nu+2}."""
+    _check_corollary_domain(nu, x)
+    scale = x ** (nu - 1.0)
+    return scale * lower_bi2(nu - 1.0, 0.0, x), scale * upper_bi3(nu - 1.0, 0.0, x)
 
 
 def bound_report(spec: IntegralSpec, d: DConstant | None = None) -> BoundReport:
@@ -354,9 +347,7 @@ def bound_report(spec: IntegralSpec, d: DConstant | None = None) -> BoundReport:
     def attempt(name, fn):
         try:
             report.applicable_bounds[name] = fn()
-        except BoundNotApplicableError as exc:
-            report.skipped[name] = str(exc)
-        except DomainError as exc:
+        except DomainError as exc:  # BoundNotApplicableError included
             report.skipped[name] = str(exc)
 
     if gamma == 0.0:

@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .bounds import d_constant
-from .exceptions import DomainError, DSolverError
+from .exceptions import ConvergenceError, DomainError, DSolverError, ToleranceNotMetError
 from .gridcheck import (
     GridConfig,
     run_verification,
@@ -32,6 +32,10 @@ from .specfun import struve_l, struve_l_scaled
 from .tables import TABLE_KINDS, make_table, table_to_csv, table_to_json
 
 EVAL_FUNCTIONS = ("struve-l", "struve-l-scaled", "integral")
+
+#: Evaluation failures reported as "error: ..." with exit status 1.
+_EVAL_ERRORS = (DomainError, ConvergenceError, ToleranceNotMetError, DSolverError,
+               ArithmeticError)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -83,7 +87,7 @@ def cmd_eval(function, nu, n, gamma, x, fmt, out):
                    "value": result.value,
                    "abs_error_estimate": result.abs_error_estimate,
                    "terms_used": result.terms_used}
-    except (DomainError, OverflowError, DSolverError) as exc:
+    except _EVAL_ERRORS as exc:
         _fail(exc)
     _emit(_format_row(row, fmt), out)
 
@@ -154,7 +158,10 @@ def cmd_verify(config_path, fmt, out):
         config = GridConfig.from_json(config_path) if config_path else GridConfig()
     except (DomainError, TypeError, json.JSONDecodeError) as exc:
         _fail(exc)
-    results = run_verification(config)
+    try:
+        results = run_verification(config)
+    except _EVAL_ERRORS as exc:
+        _fail(exc)
     if fmt == "csv":
         text = verification_to_csv(results)
     else:

@@ -1,9 +1,10 @@
 """Grid verification of the integral inequalities.
 
 Each check sweeps a parameter grid, evaluates the relevant bounds and
-integrals by at least two independent routes where available, and
-reports a signed worst margin (nonnegative means the check holds, with
-the tolerance already folded in) plus the witnessing parameters.
+integrals by at least two independent routes where available, and scores
+each point by a signed margin (nonnegative means it holds, with the
+tolerance already folded in); one tracker counts the points and keeps
+the first smallest margin with its witnessing parameters.
 
 The product-grid checks (oracle agreement, inequality ordering,
 monotonicity in x) read their grids from a GridConfig; the remaining
@@ -62,6 +63,10 @@ IMON_X = (0.1, 0.5, 1.0, 5.0, 20.0, 50.0, 100.0, 300.0)
 IMON_HALF_ORDER_MAX_X = 20.0
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class GridConfig:
     """Parameter lists for the product-grid checks plus tolerance
@@ -74,10 +79,18 @@ class GridConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("nu_values", "n_values", "gamma_values", "x_values"):
+            values = getattr(self, name)
+            if not (isinstance(values, list) and all(map(_is_real, values))):
+                raise DomainError(f"{name} must be a list of real numbers")
+        if not isinstance(self.tolerances, dict):
+            raise DomainError("tolerances must map names to real numbers")
         merged = dict(DEFAULT_TOLERANCES)
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise DomainError(f"unknown tolerance {key!r}")
+            if not (_is_real(value) and math.isfinite(value)):
+                raise DomainError(f"tolerance {key!r} must be a finite real number")
             merged[key] = float(value)
         self.tolerances = merged
 
@@ -106,22 +119,30 @@ class CheckResult:
     note: str = ""
 
 
-def _witness(**params) -> str:
-    return " ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                    for k, v in params.items())
-
-
 class _Worst:
-    """Tracks the minimum margin and its witnessing parameters."""
+    """Counts the points of one check and tracks the first smallest margin
+    with its witnessing parameters; a NaN margin never becomes the worst."""
 
     def __init__(self):
+        self.points = 0
         self.margin = math.inf
         self.witness = ""
 
     def update(self, margin: float, **params) -> None:
+        self.points += 1
         if margin < self.margin:
             self.margin = margin
-            self.witness = _witness(**params)
+            self.witness = " ".join(
+                f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                for k, v in params.items())
+
+    def result(self, name: str, note: str, skipped: int = 0,
+               strict: bool = False) -> CheckResult:
+        """The check passes when its worst margin is >= 0, or > 0 when
+        strict."""
+        passed = self.margin > 0.0 if strict else self.margin >= 0.0
+        return CheckResult(name, passed, self.points, skipped, self.margin,
+                           self.witness, note)
 
 
 def _grid_specs(config: GridConfig) -> tuple[list[IntegralSpec], int]:
@@ -154,17 +175,13 @@ def check_oracle_triangle(config: GridConfig) -> CheckResult:
             ref = integral_power_series(spec.nu, spec.n, spec.x).value
         rel = abs(quad - ref) / abs(ref)
         worst.update(tol - rel, gamma=spec.gamma, nu=spec.nu, n=spec.n, x=spec.x)
-    return CheckResult(
-        "oracle_triangle", worst.margin >= 0.0, len(specs), skipped, worst.margin,
-        worst.witness, f"rel tol {tol:g}",
-    )
+    return worst.result("oracle_triangle", f"rel tol {tol:g}", skipped)
 
 
 def check_closed_form_agreement(config: GridConfig) -> CheckResult:
     """Quadrature against the 2F3 closed form where it exists."""
     tol = config.tol("closed_form_rel")
     worst = _Worst()
-    points = 0
     specs, skipped = _grid_specs(config)
     for spec in specs:
         if spec.gamma != 0.0 or spec.n != 0.0:
@@ -172,12 +189,8 @@ def check_closed_form_agreement(config: GridConfig) -> CheckResult:
         quad = integral_quadrature(spec).value
         ref = bounds_mod.integral_closed_form(spec.nu, spec.x)
         rel = abs(quad - ref) / abs(ref)
-        points += 1
         worst.update(tol - rel, nu=spec.nu, x=spec.x)
-    return CheckResult(
-        "closed_form_agreement", worst.margin >= 0.0, points, skipped, worst.margin,
-        worst.witness, f"rel tol {tol:g}",
-    )
+    return worst.result("closed_form_agreement", f"rel tol {tol:g}", skipped)
 
 
 def check_ordering(config: GridConfig) -> CheckResult:
@@ -185,7 +198,6 @@ def check_ordering(config: GridConfig) -> CheckResult:
     upper bound above it, and the stated bound-vs-bound orderings."""
     slack = config.tol("ordering_slack_rel")
     worst = _Worst()
-    points = 0
     lower_ids = ("bi1", "bi2", "bi4", "bi5")
     upper_ids = ("bi3", "bi7", "bi8")
     specs, skipped = _grid_specs(config)
@@ -195,7 +207,6 @@ def check_ordering(config: GridConfig) -> CheckResult:
         skipped += len(report.skipped)
         params = dict(gamma=spec.gamma, nu=spec.nu, n=spec.n, x=spec.x)
         for name, value in report.applicable_bounds.items():
-            points += 1
             if name in lower_ids:
                 margin = (integral - value) / integral + slack
             else:
@@ -203,40 +214,28 @@ def check_ordering(config: GridConfig) -> CheckResult:
                 margin = (value - integral) / integral + slack
             worst.update(margin, bound=name, **params)
         got = report.applicable_bounds
-        if "bi4" in got and "bi5" in got:
-            points += 1
-            worst.update((got["bi4"] - got["bi5"]) / integral + slack,
-                         bound="bi5<=bi4", **params)
-        if "bi7" in got and "bi8" in got:
-            points += 1
-            worst.update((got["bi8"] - got["bi7"]) / integral + slack,
-                         bound="bi7<=bi8", **params)
-    return CheckResult(
-        "ordering", worst.margin >= 0.0, points, skipped, worst.margin,
-        worst.witness, f"relative slack {slack:g}",
-    )
+        for below, above in (("bi5", "bi4"), ("bi7", "bi8")):
+            if below in got and above in got:
+                worst.update((got[above] - got[below]) / integral + slack,
+                             bound=f"{below}<={above}", **params)
+    return worst.result("ordering", f"relative slack {slack:g}", skipped)
 
 
 def check_equality_boundary(config: GridConfig) -> CheckResult:
     """At nu = -(n+1)/2 the two-sided bounds collapse onto the integral."""
     tol = config.tol("equality_rel")
     worst = _Worst()
-    points = 0
     for n in EQUALITY_N:
         nu = -0.5 * (n + 1.0)
         for x in EQUALITY_X:
             bi2 = bounds_mod.lower_bi2(nu, n, x)
             bi3 = bounds_mod.upper_bi3(nu, n, x)
             integral = integral_quadrature(IntegralSpec(0.0, nu, n, x)).value
-            points += 2
             worst.update(tol - abs(bi2 - bi3) / abs(bi3),
                          pair="bi2-bi3", n=n, x=x)
             worst.update(tol - abs(bi2 - integral) / abs(integral),
                          pair="bi2-integral", n=n, x=x)
-    return CheckResult(
-        "equality_boundary", worst.margin >= 0.0, points, 0, worst.margin,
-        worst.witness, f"rel tol {tol:g}",
-    )
+    return worst.result("equality_boundary", f"rel tol {tol:g}")
 
 
 def check_tightness_large_x(config: GridConfig) -> CheckResult:
@@ -249,7 +248,6 @@ def check_tightness_large_x(config: GridConfig) -> CheckResult:
     low = config.tol("tightness_low")
     x = TIGHTNESS_X_LARGE
     worst = _Worst()
-    points = 0
     upper_slack = 1e-12
     for nu in TIGHTNESS_NU:
         undamped = integral_quadrature(IntegralSpec(0.0, nu, 0.0, x)).value
@@ -262,14 +260,10 @@ def check_tightness_large_x(config: GridConfig) -> CheckResult:
         }
         for name, ratio in ratios.items():
             gamma = 0.0 if name in ("bi1", "bi2") else TIGHTNESS_GAMMA
-            points += 1
             margin = min(ratio - low, 1.0 + upper_slack - ratio)
             worst.update(margin, bound=name, gamma=gamma, nu=nu, x=x,
                          ratio=float(f"{ratio:.8g}"))
-    return CheckResult(
-        "tightness_large_x", worst.margin >= 0.0, points, 0, worst.margin,
-        worst.witness, f"window [{low:g}, 1]",
-    )
+    return worst.result("tightness_large_x", f"window [{low:g}, 1]")
 
 
 def check_tightness_small_x(config: GridConfig) -> CheckResult:
@@ -277,19 +271,14 @@ def check_tightness_small_x(config: GridConfig) -> CheckResult:
     tol = config.tol("tightness_small_x")
     x = TIGHTNESS_X_SMALL
     worst = _Worst()
-    points = 0
     lower_slack = 1e-12
     for nu in TIGHTNESS_SMALL_NU:
         for n in TIGHTNESS_SMALL_N:
             integral = integral_quadrature(IntegralSpec(0.0, nu, n, x)).value
             ratio = bounds_mod.upper_bi3(nu, n, x) / integral
-            points += 1
             margin = min(tol - (ratio - 1.0), ratio - 1.0 + lower_slack)
             worst.update(margin, nu=nu, n=n, x=x, ratio=float(f"{ratio:.8g}"))
-    return CheckResult(
-        "tightness_small_x", worst.margin >= 0.0, points, 0, worst.margin,
-        worst.witness, f"window [1, 1+{tol:g}]",
-    )
+    return worst.result("tightness_small_x", f"window [1, 1+{tol:g}]")
 
 
 def check_asymptote(config: GridConfig) -> CheckResult:
@@ -297,7 +286,6 @@ def check_asymptote(config: GridConfig) -> CheckResult:
     tol = config.tol("asymptote_rel")
     x = TIGHTNESS_X_LARGE
     worst = _Worst()
-    points = 0
     for gamma in ASYMPTOTE_GAMMA:
         for nu in TIGHTNESS_NU:
             spec = IntegralSpec(gamma, nu, 0.0, x)
@@ -305,12 +293,8 @@ def check_asymptote(config: GridConfig) -> CheckResult:
                 math.exp(log_integral_quadrature(spec) - log_asymptotic_integral(spec))
                 - 1.0
             )
-            points += 1
             worst.update(tol - dev, gamma=gamma, nu=nu, x=x)
-    return CheckResult(
-        "asymptote_large_x", worst.margin >= 0.0, points, 0, worst.margin,
-        worst.witness, f"|ratio - 1| <= {tol:g}",
-    )
+    return worst.result("asymptote_large_x", f"|ratio - 1| <= {tol:g}")
 
 
 def check_d_properties(config: GridConfig) -> CheckResult:
@@ -318,46 +302,35 @@ def check_d_properties(config: GridConfig) -> CheckResult:
     dense scan."""
     slack = config.tol("d_scan_slack")
     worst = _Worst()
-    points = 0
     log_lo = math.log(bounds_mod.D_SCAN_LO)
     step = (math.log(bounds_mod.D_SCAN_HI) - log_lo) / (D_SCAN_CHECK_POINTS - 1)
     for nu, n in D_CHECK_PAIRS:
         d = bounds_mod.d_constant(nu, n)
-        points += 1
         worst.update(2.0 * (nu + n + 1.0) - d.value, prop="cap", nu=nu, n=n)
         for i in range(D_SCAN_CHECK_POINTS):
             x = math.exp(log_lo + i * step)
-            points += 1
             worst.update(d.value + slack - bounds_mod.ratio_fn(nu, n, x),
                          prop="scan", nu=nu, n=n, x=x)
-    return CheckResult(
-        "d_properties", worst.margin >= 0.0, points, 0, worst.margin,
-        worst.witness, f"scan slack {slack:g}",
-    )
+    return worst.result("d_properties", f"scan slack {slack:g}")
 
 
 def check_struve_monotonicity(config: GridConfig) -> CheckResult:
     """L_nu(x) strictly below L_{nu-1}(x) for nu >= 1/2."""
     worst = _Worst()
-    points = 0
     for nu in IMON_NU:
         for x in IMON_X:
             if nu == 0.5 and x > IMON_HALF_ORDER_MAX_X:
                 continue
             hi = struve_l_scaled(nu - 1.0, x).value
             lo = struve_l_scaled(nu, x).value
-            points += 1
             worst.update((hi - lo) / hi, nu=nu, x=x)
-    return CheckResult(
-        "struve_monotonicity", worst.margin > 0.0, points, 0, worst.margin,
-        worst.witness, "strict decrease in order",
-    )
+    return worst.result("struve_monotonicity", "strict decrease in order",
+                        strict=True)
 
 
 def check_integral_monotonicity(config: GridConfig) -> CheckResult:
     """The integral strictly increases in its upper limit."""
     worst = _Worst()
-    points = 0
     skipped = 0
     xs = sorted(config.x_values)
     for gamma in config.gamma_values:
@@ -370,13 +343,10 @@ def check_integral_monotonicity(config: GridConfig) -> CheckResult:
                     continue
                 values = [integral_quadrature(s).value for s in specs]
                 for x1, x2, v1, v2 in zip(xs, xs[1:], values, values[1:]):
-                    points += 1
                     worst.update((v2 - v1) / v2, gamma=gamma, nu=nu, n=n,
                                  x1=x1, x2=x2)
-    return CheckResult(
-        "integral_monotonicity", worst.margin > 0.0, points, skipped, worst.margin,
-        worst.witness, "strict increase in x",
-    )
+    return worst.result("integral_monotonicity", "strict increase in x", skipped,
+                        strict=True)
 
 
 ALL_CHECKS = (

@@ -159,6 +159,8 @@ def series_cap(x: float, max_terms: int | None = None) -> int:
 
 
 def _check_pfq_params(a: Sequence[float], b: Sequence[float], z: float) -> None:
+    if not all(map(math.isfinite, [*a, *b, z])):
+        raise DomainError(f"pFq requires finite parameters and z, got {a}, {b}, {z}")
     for bj in b:
         if bj <= 0.0 and bj == int(bj):
             raise DomainError(

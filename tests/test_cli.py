@@ -206,3 +206,38 @@ def test_verify_bad_config(runner, tmp_path):
     result = runner.invoke(cli, ["verify", "--config", str(config)])
     assert result.exit_code == 1
     assert "unknown config keys" in result.output
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"x_values": 5},
+        {"x_values": ["a"]},
+        {"tolerances": {"oracle_rel": "abc"}},
+        {"tolerances": {"oracle_rel": float("nan")}},
+    ],
+    ids=["values-not-a-list", "value-not-a-number", "tolerance-not-a-number",
+         "tolerance-nan"],
+)
+def test_verify_malformed_config_values(runner, tmp_path, raw):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(raw))
+    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    assert result.exit_code == 1
+    assert "error:" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "x_values",
+    [[800.0], [1e-170, 1e-160]],
+    ids=["quadrature-overflow", "oracle-underflow"],
+)
+def test_verify_evaluation_error_exits_cleanly(runner, tmp_path, x_values):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"x_values": x_values}))
+    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""

@@ -15,6 +15,7 @@ from struveint.exceptions import DomainError
 from struveint.gridcheck import (
     DEFAULT_TOLERANCES,
     GridConfig,
+    _Worst,
     check_closed_form_agreement,
     check_equality_boundary,
     check_oracle_triangle,
@@ -48,6 +49,23 @@ def test_config_tolerance_override():
 def test_config_rejects_unknown_tolerance():
     with pytest.raises(DomainError):
         GridConfig(tolerances={"bogus": 1.0})
+
+
+def test_tracker_keeps_first_smallest_margin_and_ignores_nan():
+    worst = _Worst()
+    for margin, at in ((0.5, 1), (0.25, 2), (float("nan"), 3), (0.25, 4), (0.75, 5)):
+        worst.update(margin, at=at)
+    result = worst.result("demo", "note", skipped=2)
+    assert (result.points, result.skipped) == (5, 2)
+    assert (result.worst_margin, result.witness) == (0.25, "at=2")
+    assert result.passed
+
+
+def test_tracker_strict_rejects_zero_margin():
+    worst = _Worst()
+    worst.update(0.0, at=1)
+    assert worst.result("demo", "").passed
+    assert not worst.result("demo", "", strict=True).passed
 
 
 def test_config_from_json(tmp_path):
@@ -190,3 +208,7 @@ def test_run_verification_shape_and_report_formats():
     for name in names:
         if name != "tightness_large_x":
             assert by_name[name]["status"] == "pass", name
+    assert [(r.points, r.skipped) for r in results] == [
+        (1, 0), (1, 0), (3, 4), (18, 0), (8, 0), (6, 0), (4, 0), (2005, 0), (53, 0),
+        (0, 0),
+    ]

@@ -348,6 +348,8 @@ def test_scaled_matches_mpmath_far_out(nu, x):
         lambda: IntegralSpec(0.5, 0.0, 0.0, math.inf),
         lambda: regularized_gamma_p(math.nan, 1.0),
         lambda: regularized_gamma_p(1.0, math.inf),
+        lambda: pfq([1.0], [2.0], math.nan),
+        lambda: pfq([math.nan], [2.0], 1.0),
     ],
     ids=[
         "gamma_fn-nan",
@@ -359,6 +361,8 @@ def test_scaled_matches_mpmath_far_out(nu, x):
         "IntegralSpec-inf-x",
         "regularized_gamma_p-nan-s",
         "regularized_gamma_p-inf-z",
+        "pfq-nan-z",
+        "pfq-nan-parameter",
     ],
 )
 def test_non_finite_arguments_raise_domain_error(call):
