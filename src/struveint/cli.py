@@ -118,7 +118,7 @@ def cmd_dconst(nu, n, out):
     printed as JSON with the argmax and the theoretical cap 2(nu+n+1)."""
     try:
         d = d_constant(nu, n)
-    except (DomainError, DSolverError) as exc:
+    except _EVAL_ERRORS as exc:
         _fail(exc)
     payload = {
         "nu": nu,
@@ -138,7 +138,10 @@ def cmd_dconst(nu, n, out):
 def cmd_table(kind, fmt, out):
     """Emit a reference table: relative errors of the corollary lower
     (table1) or upper (table2) bound, or the computed D constants."""
-    artifact = make_table(kind)
+    try:
+        artifact = make_table(kind)
+    except _EVAL_ERRORS as exc:
+        _fail(exc)
     text = table_to_csv(artifact) if fmt == "csv" else table_to_json(artifact)
     _emit(text, out)
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfun
-from .exceptions import ConvergenceError, DomainError
+from .exceptions import DomainError
 from .quadrature import adaptive_quadrature
 from .specfun import (
     SQRT_PI,
@@ -27,7 +27,6 @@ from .specfun import (
     log_gamma,
     log_lower_incomplete_gamma,
     pfq,
-    series_cap,
     struve_l,
     struve_l_scaled,
     sum_series,
@@ -188,7 +187,6 @@ def _power_series(
         )
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0, True)
-    cap = series_cap(x, max_terms)
     log_first = (
         (nu + n + 1.0) * math.log(0.5)
         + (n + 2.0) * math.log(x)
@@ -205,10 +203,8 @@ def _power_series(
             / ((n + 2.0 * k + 4.0) * (k + 1.5) * (k + nu + n + 1.5))
         )
 
-    out = sum_series(log_first, ratio, offset, cap)
-    if not out.converged:
-        raise _series_failure("integral_power_series", cap, nu=nu, n=n, x=x)
-    return out
+    name = "integral_power_series_scaled" if offset else "integral_power_series"
+    return sum_series(log_first, ratio, offset, name, x, max_terms)
 
 
 def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> SeriesEval:
@@ -227,7 +223,6 @@ def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> 
             "use integral_power_series for the undamped case"
         )
     gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
-    cap = series_cap(x, max_terms)
     log_half = math.log(0.5)
     log_gam = math.log(gamma)
     gx = gamma * x
@@ -251,12 +246,7 @@ def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> 
         prev = cur
         return q
 
-    out = sum_series(prev, ratio, 0.0, cap)
-    if not out.converged:
-        raise _series_failure(
-            "integral_series_oracle", cap, gamma=gamma, nu=nu, n=n, x=x
-        )
-    return out
+    return sum_series(prev, ratio, 0.0, "integral_series_oracle", x, max_terms)
 
 
 def asymptotic_integral(spec: IntegralSpec) -> float:
@@ -283,8 +273,3 @@ def _check_undamped_args(nu: float, n: float, x: float) -> None:
         raise DomainError(f"nu + n must exceed -3/2, got nu={nu}, n={n}")
     if not 0.0 <= x < math.inf:
         raise DomainError(f"upper limit must be finite and nonnegative, got x={x}")
-
-
-def _series_failure(name: str, cap: int, **params) -> ConvergenceError:
-    detail = ", ".join(f"{k}={v}" for k, v in params.items())
-    return ConvergenceError(f"{name} did not converge within {cap} terms ({detail})")

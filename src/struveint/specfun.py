@@ -4,8 +4,9 @@ Gamma and log-gamma (the stdlib's, behind domain checks), the lower
 incomplete gamma function, Pochhammer symbols, generalized
 hypergeometric series, and the modified Struve function of the first
 kind L_nu in plain and exponentially scaled form.  Every power series is
-summed by one kernel, sum_series.  Everything here is a pure function of
-its arguments; there is no shared mutable state.
+summed by one kernel, sum_series, which also sets its term cap and raises
+ConvergenceError when the cap runs out.  Everything here is a pure
+function of its arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ REL_TERM_TOL = 1e-16
 #: Plain (unscaled) evaluation of L_nu refuses arguments above this.
 OVERFLOW_X = 700.0
 
-#: Past this argument the term cap grows with x (see _scaled_cap).
+#: Past this argument the term cap of a series in x grows with x.
 SCALED_SWITCH_X = 30.0
 
 #: Term and iteration cap of the incomplete gamma series and fraction.
@@ -52,15 +53,15 @@ def term_cap() -> int:
     raw = os.environ.get("STRUVE_MAX_TERMS")
     if raw is None:
         return DEFAULT_MAX_TERMS
-    cap = int(raw)
-    if cap <= 0:
-        raise ValueError("STRUVE_MAX_TERMS must be a positive integer")
-    return cap
+    if not raw.strip().isdecimal() or int(raw) <= 0:
+        raise DomainError(f"STRUVE_MAX_TERMS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """A summed series value together with convergence bookkeeping."""
+    """A summed series value with its error estimate and term count;
+    converged is always True (sum_series raises otherwise)."""
 
     value: float
     abs_error_estimate: float
@@ -97,7 +98,12 @@ def pochhammer(a: float, k: int) -> float:
 
 
 def sum_series(
-    log_first: float, ratio: Callable[[int], float], offset: float, cap: int
+    log_first: float,
+    ratio: Callable[[int], float],
+    offset: float,
+    name: str,
+    x: float = 0.0,
+    max_terms: int | None = None,
 ) -> SeriesEval:
     """Sum t_0 = exp(log_first - offset), t_{k+1} = t_k * ratio(k).
 
@@ -111,7 +117,15 @@ def sum_series(
     whose terms grow before decaying are handled correctly.  The error
     estimate 2*|last term| is safe because past that point the terms
     decay at least geometrically.
+
+    At most max_terms terms are taken (term_cap() when None).  A series
+    in x needs ~x/2 terms before its terms even start decaying, so past
+    SCALED_SWITCH_X the cap grows to x/2 + 12 sqrt(x) + 80.  Raises
+    ConvergenceError naming the series when the cap runs out.
     """
+    cap = max_terms if max_terms is not None else term_cap()
+    if x > SCALED_SWITCH_X:
+        cap = max(cap, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
     c = log_first - offset
     bits = 0
     if c < _LOG_TINY:
@@ -128,34 +142,17 @@ def sum_series(
         if abs(q) < 1.0 and abs(term) <= REL_TERM_TOL * abs(total):
             small += 1
             if small == 2:
-                return _rescaled(total, term, bits, k + 2, True)
+                return SeriesEval(
+                    math.ldexp(total, bits), math.ldexp(2.0 * abs(term), bits),
+                    k + 2, True,
+                )
         else:
             small = 0
             if not -_RESCALE < total < _RESCALE:
                 total /= _RESCALE
                 term /= _RESCALE
                 bits += _RESCALE_BITS
-    return _rescaled(total, term, bits, cap, False)
-
-
-def _rescaled(total: float, term: float, bits: int, used: int, ok: bool) -> SeriesEval:
-    return SeriesEval(
-        math.ldexp(total, bits), math.ldexp(2.0 * abs(term), bits), used, ok
-    )
-
-
-def _scaled_cap(x: float, cap: int) -> int:
-    # The series in x needs ~x/2 terms before its terms even start
-    # decaying, so past SCALED_SWITCH_X the cap is extended.
-    if x <= SCALED_SWITCH_X:
-        return cap
-    return max(cap, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
-
-
-def series_cap(x: float, max_terms: int | None = None) -> int:
-    """Term cap for a power series in x: max_terms (default term_cap()),
-    extended for large x to what the series needs (see _scaled_cap)."""
-    return _scaled_cap(x, max_terms if max_terms is not None else term_cap())
+    raise ConvergenceError(f"{name} did not converge within {cap} terms")
 
 
 def _check_pfq_params(a: Sequence[float], b: Sequence[float], z: float) -> None:
@@ -188,7 +185,6 @@ def pfq(
     _check_pfq_params(a, b, z)
     if z == 0.0:
         return SeriesEval(1.0, 0.0, 1, True)
-    cap = max_terms if max_terms is not None else term_cap()
 
     def ratio(k: int) -> float:
         num = 1.0
@@ -199,13 +195,7 @@ def pfq(
             den *= bj + k
         return num / den * z / (k + 1.0)
 
-    out = sum_series(0.0, ratio, 0.0, cap)
-    if not out.converged:
-        raise ConvergenceError(
-            f"pFq series did not converge within {cap} terms "
-            f"(partial sum {out.value!r})"
-        )
-    return out
+    return sum_series(0.0, ratio, 0.0, "pFq series", max_terms=max_terms)
 
 
 def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
@@ -224,7 +214,7 @@ def struve_l_scaled(nu: float, x: float, max_terms: int | None = None) -> Series
 
     The same power series as struve_l with the exp(-x) folded into its
     first term; the summation kernel's running exponent keeps it finite
-    for x well past 1e4.  Past x = 30 the term cap grows with x.
+    for x well past 1e4.
     """
     return _struve_series(nu, x, x, max_terms)
 
@@ -244,9 +234,6 @@ def _struve_series(
         )
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0, True)
-    cap = max_terms if max_terms is not None else term_cap()
-    if offset:
-        cap = _scaled_cap(x, cap)
     h = 0.5 * x
     h2 = h * h
 
@@ -254,13 +241,8 @@ def _struve_series(
         return h2 / ((k + 1.5) * (k + nu + 1.5))
 
     log_first = (nu + 1.0) * math.log(h) - log_gamma(1.5) - log_gamma(nu + 1.5)
-    out = sum_series(log_first, ratio, offset, cap)
-    if not out.converged:
-        raise ConvergenceError(
-            f"{'scaled ' if offset else ''}struve_l series did not converge "
-            f"within {cap} terms (nu={nu}, x={x})"
-        )
-    return out
+    name = "struve_l_scaled" if offset else "struve_l"
+    return sum_series(log_first, ratio, offset, name, x, max_terms)
 
 
 def regularized_gamma_p(s: float, z: float) -> float:
@@ -283,12 +265,8 @@ def regularized_gamma_p(s: float, z: float) -> float:
 
 def _log_gser(s: float, z: float) -> float:
     # log of the series form of P(s, z); valid for z < s+1.
-    out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0, _INCGAMMA_CAP)
-    if not out.converged:
-        raise ConvergenceError(
-            f"incomplete gamma series did not converge within {_INCGAMMA_CAP} "
-            f"terms (s={s}, z={z})"
-        )
+    out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0,
+                     "incomplete gamma series", max_terms=_INCGAMMA_CAP)
     return s * math.log(z) - z - log_gamma(s) + math.log(out.value)
 
 

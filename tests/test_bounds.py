@@ -409,6 +409,14 @@ def test_report_skips_inapplicable_b7_b8():
     assert "1/D" in report.skipped["bi7"]
 
 
+def test_report_skips_b7_b8_where_d_is_undefined():
+    # nu = -(n+1)/2 is the boundary order, where D does not exist
+    report = bound_report(IntegralSpec(0.5, -0.5, 0.0, 1.0))
+    assert set(report.applicable_bounds) == {"bi4", "bi5"}
+    assert report.skipped["bi7"].startswith("D undefined")
+    assert report.skipped["bi8"].startswith("D undefined")
+
+
 def test_report_skips_b2_b3_below_boundary():
     # nu < -(n+1)/2 removes bi2/bi3 (and D) but keeps the report alive
     report = bound_report(IntegralSpec(0.0, -0.7, 0.0, 1.0))

@@ -241,3 +241,26 @@ def test_verify_evaluation_error_exits_cleanly(runner, tmp_path, x_values):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
     assert result.stdout == ""
+
+
+_BAD_CAP_COMMANDS = {
+    "eval": ["eval", "struve-l", "--nu", "0", "--x", "1"],
+    # d_constant is memoized per (nu, n): no other test uses nu = 0.123, so
+    # every invocation reads the cap.
+    "dconst": ["dconst", "--nu", "0.123"],
+    "table": ["table", "table1"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize(
+    "cap,command",
+    [(cap, command) for cap in ("abc", "0") for command in _BAD_CAP_COMMANDS]
+    + [("5", "dconst"), ("5", "table")],
+)
+def test_bad_term_cap_exits_cleanly(cap, command):
+    runner = CliRunner(env={"STRUVE_MAX_TERMS": cap})
+    result = runner.invoke(cli, _BAD_CAP_COMMANDS[command])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")

@@ -18,6 +18,7 @@ from struveint.gridcheck import (
     _Worst,
     check_closed_form_agreement,
     check_equality_boundary,
+    check_integral_monotonicity,
     check_oracle_triangle,
     check_ordering,
     check_struve_monotonicity,
@@ -98,6 +99,17 @@ def test_oracle_triangle_small_grid():
     assert result.passed
     assert result.points == 16
     assert result.worst_margin >= 0.0
+
+
+def test_invalid_grid_combinations_are_counted():
+    # nu = -2 breaks nu + n > -3/2: one skipped combination per x for the
+    # oracle, one skipped x sweep for the monotonicity check
+    config = GridConfig(nu_values=[-2.0, 0.0], n_values=[0.0], gamma_values=[0.5],
+                        x_values=[1.0, 2.0])
+    oracle = check_oracle_triangle(config)
+    assert (oracle.points, oracle.skipped) == (2, 2)
+    sweep = check_integral_monotonicity(config)
+    assert (sweep.points, sweep.skipped) == (1, 1)
 
 
 def test_closed_form_agreement_small_grid():

@@ -233,6 +233,17 @@ def test_oracle_non_convergence():
         integral_series_oracle(spec, max_terms=4)
 
 
+@pytest.mark.parametrize("fn", [integral_power_series, integral_power_series_scaled])
+def test_power_series_non_convergence(fn):
+    with pytest.raises(ConvergenceError):
+        fn(0.0, 0.5, 20.0, max_terms=4)
+
+
+def test_power_series_overflow_guard():
+    with pytest.raises(OverflowError):
+        integral_power_series(0.0, 0.5, 701.0)
+
+
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.9])
 @pytest.mark.parametrize("nu,n", [(0.0, 0.0), (1.0, 0.5), (-0.4, 2.0), (3.0, 0.0)])
 @pytest.mark.parametrize("x", [0.5, 5.0, 20.0])

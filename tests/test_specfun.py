@@ -430,3 +430,11 @@ def test_term_cap_environment_override(monkeypatch):
 def test_explicit_max_terms_beats_environment(monkeypatch):
     monkeypatch.setenv("STRUVE_MAX_TERMS", "5")
     assert struve_l(0.0, 1.0, max_terms=50).converged
+
+
+def test_plain_and_scaled_struve_share_the_cap_rule():
+    # Past x = 30 both forms grow an explicit cap with x the same way.
+    plain = struve_l(0.0, 100.0, max_terms=50)
+    scaled = struve_l_scaled(0.0, 100.0, max_terms=50)
+    assert rel_err(plain.value, math.exp(100.0) * scaled.value) <= 1e-14
+    assert plain.terms_used == scaled.terms_used
