@@ -30,7 +30,6 @@ from .gridcheck import CheckResult, GridConfig, run_verification
 from .integrals import (
     IntegralSpec,
     QuadratureResult,
-    asymptotic_integral,
     integral_closed_form,
     integral_power_series,
     integral_quadrature,
@@ -41,9 +40,7 @@ from .specfun import (
     SeriesEval,
     gamma_fn,
     log_gamma,
-    lower_incomplete_gamma,
     pfq,
-    pochhammer,
     struve_l,
     struve_l_scaled,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "SeriesEval",
     "TableArtifact",
     "ToleranceNotMetError",
-    "asymptotic_integral",
     "bound_report",
     "coefficients",
     "corollary_bounds",
@@ -83,10 +79,8 @@ __all__ = [
     "lower_bi2",
     "lower_bi4",
     "lower_bi5",
-    "lower_incomplete_gamma",
     "make_table",
     "pfq",
-    "pochhammer",
     "ratio_fn",
     "run_verification",
     "struve_l",

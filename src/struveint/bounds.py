@@ -13,6 +13,7 @@ are deterministic; quadrature is reserved for cross-checking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,6 +37,9 @@ D_XTOL = 1e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+#: Largest argument math.exp takes without overflowing.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,14 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
 
 def _struve_over_xnu(order: float, nu: float, x: float, gamma: float = 0.0) -> float:
     """exp(-gamma x) L_order(x) / x^nu, assembled from the scaled value so
-    that L_order(x) is never formed alone."""
-    return struve_l_scaled(order, x).value * math.exp((1.0 - gamma) * x) * x ** (-nu)
+    that L_order(x) is never formed alone.  Where exp((1-gamma)x) alone
+    would overflow, the factors are combined in log space, so only a
+    quotient beyond binary64 raises OverflowError."""
+    scaled = struve_l_scaled(order, x).value
+    growth = (1.0 - gamma) * x
+    if growth <= _LOG_MAX:
+        return scaled * math.exp(growth) * x ** (-nu)
+    return math.exp(growth + math.log(scaled) - nu * math.log(x))
 
 
 def _undamped_integral(nu: float, n: float, x: float) -> float:

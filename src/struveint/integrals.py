@@ -131,13 +131,9 @@ def integral_quadrature(
     return QuadratureResult(scale * value, scale * err, n)
 
 
-def log_integral_quadrature(
-    spec: IntegralSpec,
-    rel_tol: float = QUAD_REL_TOL,
-    max_subdivisions: int = QUAD_MAX_SUBDIVISIONS,
-) -> float:
+def log_integral_quadrature(spec: IntegralSpec) -> float:
     """Natural log of the damped integral (for large-x tightness work)."""
-    value, _, _, offset = _quadrature_scaled(spec, rel_tol, max_subdivisions)
+    value, _, _, offset = _quadrature_scaled(spec, QUAD_REL_TOL, QUAD_MAX_SUBDIVISIONS)
     return offset + math.log(value)
 
 
@@ -249,16 +245,12 @@ def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> 
     return sum_series(prev, ratio, 0.0, "integral_series_oracle", x, max_terms)
 
 
-def asymptotic_integral(spec: IntegralSpec) -> float:
-    """Leading large-x asymptote of the damped integral,
-
-        x^(-nu-1/2) exp((1-gamma)x) / (sqrt(2 pi) (1-gamma)),
-
-    computed in log space.  Only used by the tightness checks."""
-    return math.exp(log_asymptotic_integral(spec))
-
-
 def log_asymptotic_integral(spec: IntegralSpec) -> float:
+    """Natural log of the leading large-x asymptote of the damped integral,
+
+        x^(-nu-1/2) exp((1-gamma)x) / (sqrt(2 pi) (1-gamma)).
+
+    Only used by the tightness checks."""
     return (
         (1.0 - spec.gamma) * spec.x
         - (spec.nu + 0.5) * math.log(spec.x)

@@ -84,7 +84,6 @@ def adaptive_quadrature(
     a: float,
     b: float,
     rel_tol: float = 1e-12,
-    abs_tol: float = 0.0,
     max_subdivisions: int = 2000,
 ) -> tuple[float, float, int]:
     """Integrate f over [a, b] to the requested tolerance.
@@ -100,7 +99,7 @@ def adaptive_quadrature(
     total_err = err
     count = 1
     subdivisions = 0
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    while total_err > rel_tol * abs(total):
         if subdivisions >= max_subdivisions:
             raise ToleranceNotMetError(
                 f"quadrature used {subdivisions} subdivisions without reaching "

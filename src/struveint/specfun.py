@@ -1,10 +1,10 @@
 """Scalar special functions underlying the integral bounds.
 
 Gamma and log-gamma (the stdlib's, behind domain checks), the lower
-incomplete gamma function, Pochhammer symbols, generalized
-hypergeometric series, and the modified Struve function of the first
-kind L_nu in plain and exponentially scaled form.  Every power series is
-summed by one kernel, sum_series, which also sets its term cap and raises
+incomplete gamma function in log form, generalized hypergeometric
+series, and the modified Struve function of the first kind L_nu in plain
+and exponentially scaled form.  Every power series is summed by one
+kernel, sum_series, which also sets its term cap and raises
 ConvergenceError when the cap runs out.  Everything here is a pure
 function of its arguments; there is no shared mutable state.
 """
@@ -85,16 +85,6 @@ def log_gamma(x: float) -> float:
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma requires finite x > 0, got x={x}")
     return math.lgamma(x)
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k != int(k) or k < 0:
-        raise DomainError(f"pochhammer requires an integer k >= 0, got k={k}")
-    out = 1.0
-    for i in range(int(k)):
-        out *= a + i
-    return out
 
 
 def sum_series(
@@ -245,24 +235,6 @@ def _struve_series(
     return sum_series(log_first, ratio, offset, name, x, max_terms)
 
 
-def regularized_gamma_p(s: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(s, z) in [0, 1].
-
-    Series expansion for z < s+1, Lentz continued fraction for the
-    complement otherwise (the classic split).  Raises ConvergenceError
-    when either runs out of its 10,000 terms.
-    """
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"regularized_gamma_p requires finite s > 0, got s={s}")
-    if not 0.0 <= z < math.inf:
-        raise DomainError(f"regularized_gamma_p requires finite z >= 0, got z={z}")
-    if z == 0.0:
-        return 0.0
-    if z < s + 1.0:
-        return math.exp(_log_gser(s, z))
-    return 1.0 - _gcf_q(s, z)
-
-
 def _log_gser(s: float, z: float) -> float:
     # log of the series form of P(s, z); valid for z < s+1.
     out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0,
@@ -299,14 +271,15 @@ def _gcf_q(s: float, z: float) -> float:
     return math.exp(s * math.log(z) - z - log_gamma(s)) * h
 
 
-def lower_incomplete_gamma(s: float, z: float) -> float:
-    """Lower incomplete gamma, integral of t^(s-1) exp(-t) over (0, z)."""
-    return regularized_gamma_p(s, z) * gamma_fn(s)
-
-
 def log_lower_incomplete_gamma(s: float, z: float) -> float:
-    """log of the lower incomplete gamma; finite for s far beyond the
-    point where gamma_fn overflows.  Requires z > 0."""
+    """log of the lower incomplete gamma, the integral of t^(s-1) exp(-t)
+    over (0, z); finite for s far beyond the point where gamma_fn
+    overflows.  Requires z > 0.
+
+    Series expansion for z < s+1, Lentz continued fraction for the
+    complement otherwise (the classic split).  Raises ConvergenceError
+    when either runs out of its 10,000 terms.
+    """
     if not 0.0 < z < math.inf:
         raise DomainError(f"log_lower_incomplete_gamma needs finite z > 0, got z={z}")
     if not 0.0 < s < math.inf:

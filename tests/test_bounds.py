@@ -323,6 +323,72 @@ def test_bi3_tight_at_small_x(nu, n):
 
 
 # ---------------------------------------------------------------------------
+# bounds where exp((1-gamma)x) alone overflows binary64
+
+
+def _mp_bi2_bi3(mp, nu, n, x):
+    # bi2 and bi3 from their defining formulas with 30-digit L; the
+    # polynomial terms take the library coefficients, pinned above, and
+    # sit hundreds of orders of magnitude below the Struve terms here.
+    coefs = coefficients(nu, n)
+    x = mp.mpf(x)
+    l1 = mp.struvel(nu + n + 1, x) / x**nu
+    l3 = mp.struvel(nu + n + 3, x) / x**nu
+    lower = l1 - coefs.a * x ** (n + 2)
+    upper = (
+        2 * (nu + n + 1) / (n + 1) * l1
+        - (2 * nu + n + 1) / (n + 1) * l3
+        + coefs.b * x ** (n + 4)
+        - coefs.c * x ** (n + 2)
+    )
+    return lower, upper
+
+
+def _mp_bi5(mp, gamma, x):
+    # bi5 at nu = 0
+    u = mp.mpf(gamma) * x
+    tail = (1 + u) * -mp.expm1(-u) / (mp.sqrt(mp.pi) * gamma * mp.gamma(1.5))
+    return (mp.struvel(0, x) * mp.exp(-u) - tail) / (1 - mp.mpf(gamma))
+
+
+PAST_EXP_LIMIT = {
+    "bi1-712": (
+        lambda: lower_bi1(0.0, 712.0),
+        lambda mp: mp.struvel(0, 712) - 712 / (mp.sqrt(mp.pi) * mp.gamma(1.5)),
+    ),
+    "bi2-710": (lambda: lower_bi2(0.0, 0.0, 710.0), lambda mp: _mp_bi2_bi3(mp, 0, 0, 710)[0]),
+    "bi3-712": (lambda: upper_bi3(1.0, 0.0, 712.0), lambda mp: _mp_bi2_bi3(mp, 1, 0, 712)[1]),
+    "corollary-lower-710": (
+        lambda: corollary_bounds(1.0, 710.0)[0],
+        lambda mp: _mp_bi2_bi3(mp, 0, 0, 710)[0],
+    ),
+    "corollary-upper-710": (
+        lambda: corollary_bounds(1.0, 710.0)[1],
+        lambda mp: _mp_bi2_bi3(mp, 0, 0, 710)[1],
+    ),
+    "bi5-1415": (lambda: lower_bi5(0.5, 0.0, 1415.0), lambda mp: _mp_bi5(mp, 0.5, 1415)),
+    "bi5-1420": (lambda: lower_bi5(0.5, 0.0, 1420.0), lambda mp: _mp_bi5(mp, 0.5, 1420)),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_EXP_LIMIT))
+def test_bounds_past_exp_limit_match_mpmath(case):
+    mp = pytest.importorskip("mpmath")
+    call, reference = PAST_EXP_LIMIT[case]
+    got = call()
+    assert math.isfinite(got)
+    with mp.workdps(30):
+        want = reference(mp)
+        assert float(abs((got - want) / want)) < 1e-12
+
+
+def test_bound_beyond_binary64_still_overflows():
+    # L_1(715) is about 4.9e308, past the largest double
+    with pytest.raises(OverflowError):
+        lower_bi2(0.0, 0.0, 715.0)
+
+
+# ---------------------------------------------------------------------------
 # corollary
 
 

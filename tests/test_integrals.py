@@ -13,7 +13,6 @@ from conftest import rel_err
 from struveint.exceptions import ConvergenceError, DomainError, ToleranceNotMetError
 from struveint.integrals import (
     IntegralSpec,
-    asymptotic_integral,
     integral_closed_form,
     integral_power_series,
     integral_power_series_scaled,
@@ -23,7 +22,7 @@ from struveint.integrals import (
     log_asymptotic_integral,
     log_integral_quadrature,
 )
-from struveint.specfun import SQRT_PI, lower_incomplete_gamma, struve_l, struve_l_scaled
+from struveint.specfun import SQRT_PI, struve_l, struve_l_scaled
 
 
 def closed_form_brute(nu: float, x: float, terms: int = 60) -> float:
@@ -211,9 +210,10 @@ def test_oracle_frozen_value():
 
 
 def test_oracle_leading_term():
-    # k = 0 term: (2/pi) gamma^-2 gamma_low(2, gamma x)
+    # k = 0 term: (2/pi) gamma^-2 gamma_low(2, z), gamma_low(2, z) = 1 - (1+z)e^-z
     gamma, x = 0.5, 1.0
-    want = 2.0 / math.pi * gamma**-2.0 * lower_incomplete_gamma(2.0, gamma * x)
+    z = gamma * x
+    want = 2.0 / math.pi * gamma**-2.0 * (1.0 - (1.0 + z) * math.exp(-z))
     assert rel_err(want, 0.2297026263490316) < 1e-13
 
 
@@ -261,7 +261,7 @@ def test_oracle_vs_quadrature(gamma, nu, n, x):
 def test_asymptote_direct_formula():
     spec = IntegralSpec(0.0, 0.0, 0.0, 100.0)
     want = math.exp(100.0) / (math.sqrt(2.0 * math.pi) * 10.0)
-    assert rel_err(asymptotic_integral(spec), want) < 1e-13
+    assert rel_err(math.exp(log_asymptotic_integral(spec)), want) < 1e-13
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])

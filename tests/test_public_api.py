@@ -1,0 +1,72 @@
+"""The package's public surface: exactly the names the paper's
+computations and the CLI need, each resolvable."""
+
+import importlib
+
+import pytest
+
+import struveint
+
+PUBLIC_NAMES = [
+    "BoundCoefficients",
+    "BoundNotApplicableError",
+    "BoundReport",
+    "CheckResult",
+    "ConvergenceError",
+    "DConstant",
+    "DomainError",
+    "DSolverError",
+    "GridConfig",
+    "IntegralSpec",
+    "QuadratureResult",
+    "SeriesEval",
+    "TableArtifact",
+    "ToleranceNotMetError",
+    "bound_report",
+    "coefficients",
+    "corollary_bounds",
+    "corollary_middle",
+    "d_constant",
+    "gamma_fn",
+    "integral_closed_form",
+    "integral_power_series",
+    "integral_quadrature",
+    "integral_series_oracle",
+    "integrand",
+    "log_gamma",
+    "lower_bi1",
+    "lower_bi2",
+    "lower_bi4",
+    "lower_bi5",
+    "make_table",
+    "pfq",
+    "ratio_fn",
+    "run_verification",
+    "struve_l",
+    "struve_l_scaled",
+    "upper_bi3",
+    "upper_bi7",
+    "upper_bi8",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC_NAMES) == 39
+    assert struveint.__all__ == PUBLIC_NAMES
+    assert len(set(struveint.__all__)) == len(struveint.__all__)
+    for name in struveint.__all__:
+        assert getattr(struveint, name) is not None
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("specfun", "pochhammer"),
+        ("specfun", "regularized_gamma_p"),
+        ("specfun", "lower_incomplete_gamma"),
+        ("integrals", "asymptotic_integral"),
+    ],
+)
+def test_unused_functions_stay_removed(module, name):
+    assert not hasattr(struveint, name)
+    assert not hasattr(importlib.import_module(f"struveint.{module}"), name)
