@@ -111,13 +111,15 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
 
 def _struve_over_xnu(order: float, nu: float, x: float, gamma: float = 0.0) -> float:
     """exp(-gamma x) L_order(x) / x^nu, assembled from the scaled value so
-    that L_order(x) is never formed alone.  Where exp((1-gamma)x) alone
+    that L_order(x) is never formed alone.  Where the plain product
     would overflow, the factors are combined in log space, so only a
     quotient beyond binary64 raises OverflowError."""
     scaled = struve_l_scaled(order, x).value
     growth = (1.0 - gamma) * x
     if growth <= _LOG_MAX:
-        return scaled * math.exp(growth) * x ** (-nu)
+        value = scaled * math.exp(growth) * x ** (-nu)
+        if math.isfinite(value):
+            return value
     return math.exp(growth + math.log(scaled) - nu * math.log(x))
 
 

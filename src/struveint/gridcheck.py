@@ -29,6 +29,7 @@ from .integrals import (
     integral_series_oracle,
     log_asymptotic_integral,
     log_integral_quadrature,
+    quadrature_memo,
 )
 from .specfun import struve_l_scaled
 
@@ -364,8 +365,11 @@ ALL_CHECKS = (
 
 
 def run_verification(config: GridConfig | None = None) -> list[CheckResult]:
+    """Run every check of ALL_CHECKS; each distinct integral is computed
+    once per call, however many checks use it."""
     config = config if config is not None else GridConfig()
-    return [check(config) for check in ALL_CHECKS]
+    with quadrature_memo():
+        return [check(config) for check in ALL_CHECKS]
 
 
 def verification_to_csv(results: list[CheckResult]) -> str:

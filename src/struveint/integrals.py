@@ -14,6 +14,8 @@ that serves as an independent oracle.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import specfun
@@ -37,6 +39,10 @@ QUAD_REL_TOL = 1e-12
 
 #: Subdivision budget for one integral.
 QUAD_MAX_SUBDIVISIONS = 2000
+
+# Scaled quadratures of the current quadrature_memo() block, or None
+# outside one.
+_MEMO: ContextVar[dict | None] = ContextVar("struveint_quadrature_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,9 @@ def integrand(spec: IntegralSpec, t: float) -> float:
     return math.exp(-spec.gamma * t) * t ** (-spec.nu) * struve_l(spec.nu + spec.n, t).value
 
 
-def _scaled_integrand(spec: IntegralSpec, offset: float, t: float) -> float:
+def _scaled_integrand(
+    spec: IntegralSpec, offset: float, max_terms: int, t: float
+) -> float:
     # exp(-offset) * integrand(t), assembled from the scaled Struve value
     # so no intermediate overflows: the exponent (1-gamma)t - offset stays
     # <= 0 for t <= x when offset = (1-gamma)x.
@@ -87,8 +95,23 @@ def _scaled_integrand(spec: IntegralSpec, offset: float, t: float) -> float:
     return (
         math.exp((1.0 - spec.gamma) * t - offset)
         * t ** (-spec.nu)
-        * struve_l_scaled(spec.nu + spec.n, t).value
+        * struve_l_scaled(spec.nu + spec.n, t, max_terms).value
     )
+
+
+@contextmanager
+def quadrature_memo():
+    """Evaluate each distinct quadrature once inside the with-block.
+
+    integral_quadrature and log_integral_quadrature share one entry per
+    (spec, rel_tol, max_subdivisions); the entries are dropped when the
+    block exits, so nothing outlives it.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _quadrature_scaled(
@@ -97,17 +120,26 @@ def _quadrature_scaled(
     """Adaptive quadrature of the offset-scaled integrand.
 
     Returns (scaled value, scaled error, subdivisions, log offset) with
-    true integral = exp(offset) * scaled value.
+    true integral = exp(offset) * scaled value.  The series term cap is
+    read once, when the quadrature starts.
     """
+    memo = _MEMO.get()
+    key = (spec, rel_tol, max_subdivisions)
+    if memo is not None and key in memo:
+        return memo[key]
     offset = (1.0 - spec.gamma) * spec.x
+    max_terms = specfun.term_cap()
     value, err, n = adaptive_quadrature(
-        lambda t: _scaled_integrand(spec, offset, t),
+        lambda t: _scaled_integrand(spec, offset, max_terms, t),
         0.0,
         spec.x,
         rel_tol=rel_tol,
         max_subdivisions=max_subdivisions,
     )
-    return value, err, n, offset
+    result = value, err, n, offset
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 def integral_quadrature(

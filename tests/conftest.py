@@ -9,3 +9,17 @@ def rel_err(got: float, want: float) -> float:
 def log_grid(lo: float, hi: float, count: int) -> list[float]:
     step = (math.log(hi) - math.log(lo)) / (count - 1)
     return [math.exp(math.log(lo) + i * step) for i in range(count)]
+
+
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Wrap module.name so each call appends its positional arguments to
+    the returned list; monkeypatch undoes the wrapping."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

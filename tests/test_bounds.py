@@ -388,6 +388,18 @@ def test_bound_beyond_binary64_still_overflows():
         lower_bi2(0.0, 0.0, 715.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: lower_bi1(-1.4, 709.5), lambda: lower_bi5(0.5, -1.4, 1418.0)],
+    ids=["bi1-709.5", "bi5-1418"],
+)
+def test_bound_beyond_binary64_below_exp_limit_overflows(call):
+    # exp((1-gamma)x) is still finite here, but x^(-nu) = x^1.4 carries
+    # the quotient to about 2e310, past the largest double
+    with pytest.raises(OverflowError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # corollary
 

@@ -10,9 +10,13 @@ import json
 import pytest
 
 import struveint.bounds as bounds_mod
+import struveint.gridcheck as gridcheck_mod
+import struveint.integrals as integrals_mod
+from conftest import count_calls
 from struveint.bounds import BoundCoefficients, coefficients
 from struveint.exceptions import DomainError
 from struveint.gridcheck import (
+    ALL_CHECKS,
     DEFAULT_TOLERANCES,
     GridConfig,
     _Worst,
@@ -224,3 +228,36 @@ def test_run_verification_shape_and_report_formats():
         (1, 0), (1, 0), (3, 4), (18, 0), (8, 0), (6, 0), (4, 0), (2005, 0), (53, 0),
         (0, 0),
     ]
+
+
+MEMO_GRID = dict(
+    nu_values=[0.0, 1.0],
+    n_values=[0.0, 0.5],
+    gamma_values=[0.0, 0.5],
+    x_values=[0.5, 2.0],
+)
+
+
+def test_run_verification_matches_each_check_run_alone():
+    alone = [check(GridConfig(**MEMO_GRID)) for check in ALL_CHECKS]
+    assert alone == run_verification(GridConfig(**MEMO_GRID))
+
+
+def test_run_verification_makes_one_quadrature_per_distinct_spec(monkeypatch):
+    quadratures = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
+    requests = [
+        count_calls(monkeypatch, module, name)
+        for module, name in ((gridcheck_mod, "integral_quadrature"),
+                             (gridcheck_mod, "log_integral_quadrature"),
+                             (bounds_mod, "integral_quadrature"))
+    ]
+    config = GridConfig(**MEMO_GRID)
+    run_verification(config)
+    specs = [args[0] for calls in requests for args in calls]
+    distinct = len(set(specs))
+    assert len(specs) > distinct
+    assert len(quadratures) == distinct
+    # a second run on the same config object redoes the work: no cache
+    # survives the run
+    run_verification(config)
+    assert len(quadratures) == 2 * distinct

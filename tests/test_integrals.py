@@ -9,7 +9,9 @@ import math
 
 import pytest
 
-from conftest import rel_err
+import struveint.integrals as integrals_mod
+import struveint.specfun as specfun_mod
+from conftest import count_calls, rel_err
 from struveint.exceptions import ConvergenceError, DomainError, ToleranceNotMetError
 from struveint.integrals import (
     IntegralSpec,
@@ -21,6 +23,7 @@ from struveint.integrals import (
     integrand,
     log_asymptotic_integral,
     log_integral_quadrature,
+    quadrature_memo,
 )
 from struveint.specfun import SQRT_PI, struve_l, struve_l_scaled
 
@@ -291,3 +294,43 @@ def test_integral_increases_in_x(gamma, nu, n):
     xs = [0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
     values = [integral_quadrature(IntegralSpec(gamma, nu, n, x)).value for x in xs]
     assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# work per quadrature
+
+
+@pytest.mark.parametrize("evaluate", [integral_quadrature, log_integral_quadrature])
+def test_quadrature_reads_term_cap_once(monkeypatch, evaluate):
+    reads = count_calls(monkeypatch, specfun_mod, "term_cap")
+    quadratures = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
+    evaluate(IntegralSpec(0.5, 1.0, 0.0, 20.0))
+    assert len(quadratures) == 1
+    assert len(reads) == 1
+
+
+def test_term_cap_set_after_import_reaches_quadrature(monkeypatch):
+    monkeypatch.setenv("STRUVE_MAX_TERMS", "2")
+    with pytest.raises(ConvergenceError):
+        integral_quadrature(IntegralSpec(0.0, 0.0, 0.0, 1.0))
+
+
+def test_quadrature_memo_shares_entries_and_drops_them_on_exit(monkeypatch):
+    calls = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
+    spec = IntegralSpec(0.5, 1.0, 0.0, 20.0)
+    with quadrature_memo():
+        value = integral_quadrature(spec).value
+        log_integral_quadrature(spec)
+        assert integral_quadrature(spec).value == value
+        assert len(calls) == 1
+        # a different tolerance is a different quadrature
+        integral_quadrature(spec, rel_tol=1e-10)
+        assert len(calls) == 2
+    integral_quadrature(spec)
+    assert len(calls) == 3
+    with pytest.raises(KeyError):
+        with quadrature_memo():
+            integral_quadrature(spec)
+            raise KeyError("abort")
+    integral_quadrature(spec)
+    assert len(calls) == 5
