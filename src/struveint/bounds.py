@@ -13,7 +13,6 @@ are deterministic; quadrature is reserved for cross-checking.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,7 +24,7 @@ from .integrals import (
     integral_power_series_scaled,
     integral_quadrature,
 )
-from .specfun import SQRT_PI, gamma_fn, struve_l_scaled
+from .specfun import SQRT_PI, gamma_fn, struve_l_scaled, struve_l_weighted
 
 #: Grid used by the supremum scan: log-spaced points on [1e-3, 500].
 D_SCAN_POINTS = 200
@@ -37,10 +36,6 @@ D_XTOL = 1e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
-#: Largest argument math.exp takes without overflowing.
-_LOG_MAX = math.log(sys.float_info.max)
-
 
 @dataclass(frozen=True)
 class BoundCoefficients:
@@ -110,17 +105,9 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
 
 
 def _struve_over_xnu(order: float, nu: float, x: float, gamma: float = 0.0) -> float:
-    """exp(-gamma x) L_order(x) / x^nu, assembled from the scaled value so
-    that L_order(x) is never formed alone.  Where the plain product
-    would overflow, the factors are combined in log space, so only a
-    quotient beyond binary64 raises OverflowError."""
-    scaled = struve_l_scaled(order, x).value
-    growth = (1.0 - gamma) * x
-    if growth <= _LOG_MAX:
-        value = scaled * math.exp(growth) * x ** (-nu)
-        if math.isfinite(value):
-            return value
-    return math.exp(growth + math.log(scaled) - nu * math.log(x))
+    """exp(-gamma x) L_order(x) / x^nu as one weighted Struve series, so
+    only a quotient beyond binary64 raises OverflowError."""
+    return struve_l_weighted(order, x, -nu, (1.0 - gamma) * x, x).value
 
 
 def _undamped_integral(nu: float, n: float, x: float) -> float:

@@ -51,7 +51,18 @@ def _fail(exc: Exception) -> None:
     sys.exit(1)
 
 
-@click.group()
+class _ReportingGroup(click.Group):
+    """Reports an evaluation failure in any subcommand as "error: ..."
+    with exit status 1 instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _EVAL_ERRORS as exc:
+            _fail(exc)
+
+
+@click.group(cls=_ReportingGroup)
 @click.version_option(version=__version__, prog_name="struveint")
 def cli():
     """Modified Struve integrals, their bounds, and grid verification."""
@@ -71,24 +82,21 @@ def cmd_eval(function, nu, n, gamma, x, fmt, out):
     """Evaluate one function and print its value and error estimate."""
     if function != "integral" and (n is not None or gamma is not None):
         raise click.UsageError("--n and --gamma only apply to 'integral'")
-    try:
-        if function == "integral":
-            spec = IntegralSpec(gamma if gamma is not None else 0.0,
-                                nu, n if n is not None else 0.0, x)
-            q = integral_quadrature(spec)
-            row = {"function": function, "gamma": spec.gamma, "nu": spec.nu,
-                   "n": spec.n, "x": spec.x, "value": q.value,
-                   "abs_error_estimate": q.abs_error_estimate,
-                   "subdivisions": q.subdivisions}
-        else:
-            fn = {"struve-l": struve_l, "struve-l-scaled": struve_l_scaled}[function]
-            result = fn(nu, x)
-            row = {"function": function, "nu": nu, "x": x,
-                   "value": result.value,
-                   "abs_error_estimate": result.abs_error_estimate,
-                   "terms_used": result.terms_used}
-    except _EVAL_ERRORS as exc:
-        _fail(exc)
+    if function == "integral":
+        spec = IntegralSpec(gamma if gamma is not None else 0.0,
+                            nu, n if n is not None else 0.0, x)
+        q = integral_quadrature(spec)
+        row = {"function": function, "gamma": spec.gamma, "nu": spec.nu,
+               "n": spec.n, "x": spec.x, "value": q.value,
+               "abs_error_estimate": q.abs_error_estimate,
+               "subdivisions": q.subdivisions}
+    else:
+        fn = {"struve-l": struve_l, "struve-l-scaled": struve_l_scaled}[function]
+        result = fn(nu, x)
+        row = {"function": function, "nu": nu, "x": x,
+               "value": result.value,
+               "abs_error_estimate": result.abs_error_estimate,
+               "terms_used": result.terms_used}
     _emit(_format_row(row, fmt), out)
 
 
@@ -116,10 +124,7 @@ def _csv_num(v) -> str:
 def cmd_dconst(nu, n, out):
     """Compute D = sup over x of the integral-to-function ratio,
     printed as JSON with the argmax and the theoretical cap 2(nu+n+1)."""
-    try:
-        d = d_constant(nu, n)
-    except _EVAL_ERRORS as exc:
-        _fail(exc)
+    d = d_constant(nu, n)
     payload = {
         "nu": nu,
         "n": n,
@@ -138,10 +143,7 @@ def cmd_dconst(nu, n, out):
 def cmd_table(kind, fmt, out):
     """Emit a reference table: relative errors of the corollary lower
     (table1) or upper (table2) bound, or the computed D constants."""
-    try:
-        artifact = make_table(kind)
-    except _EVAL_ERRORS as exc:
-        _fail(exc)
+    artifact = make_table(kind)
     text = table_to_csv(artifact) if fmt == "csv" else table_to_json(artifact)
     _emit(text, out)
 
@@ -159,12 +161,9 @@ def cmd_verify(config_path, fmt, out):
     """
     try:
         config = GridConfig.from_json(config_path) if config_path else GridConfig()
-    except (DomainError, TypeError, json.JSONDecodeError) as exc:
+    except (TypeError, json.JSONDecodeError) as exc:
         _fail(exc)
-    try:
-        results = run_verification(config)
-    except _EVAL_ERRORS as exc:
-        _fail(exc)
+    results = run_verification(config)
     if fmt == "csv":
         text = verification_to_csv(results)
     else:

@@ -29,12 +29,11 @@ from .specfun import (
     log_gamma,
     log_lower_incomplete_gamma,
     pfq,
-    struve_l,
-    struve_l_scaled,
+    struve_l_weighted,
     sum_series,
 )
 
-#: Default relative tolerance for the adaptive quadrature route.
+#: Relative tolerance of the adaptive quadrature route.
 QUAD_REL_TOL = 1e-12
 
 #: Subdivision budget for one integral.
@@ -79,24 +78,20 @@ def integrand(spec: IntegralSpec, t: float) -> float:
     """exp(-gamma t) t^(-nu) L_{nu+n}(t), with the t = 0 limit value 0."""
     if t < 0.0:
         raise DomainError(f"integrand requires t >= 0, got t={t}")
-    if t == 0.0:
-        return 0.0
-    return math.exp(-spec.gamma * t) * t ** (-spec.nu) * struve_l(spec.nu + spec.n, t).value
+    return _scaled_integrand(spec, 0.0, None, t)
 
 
 def _scaled_integrand(
-    spec: IntegralSpec, offset: float, max_terms: int, t: float
+    spec: IntegralSpec, offset: float, max_terms: int | None, t: float
 ) -> float:
-    # exp(-offset) * integrand(t), assembled from the scaled Struve value
-    # so no intermediate overflows: the exponent (1-gamma)t - offset stays
-    # <= 0 for t <= x when offset = (1-gamma)x.
+    # exp(-offset) * integrand(t) in one weighted series: no factor is
+    # formed alone, so none overflows or underflows before the others
+    # multiply it.
     if t == 0.0:
         return 0.0
-    return (
-        math.exp((1.0 - spec.gamma) * t - offset)
-        * t ** (-spec.nu)
-        * struve_l_scaled(spec.nu + spec.n, t, max_terms).value
-    )
+    return struve_l_weighted(
+        spec.nu + spec.n, t, -spec.nu, (1.0 - spec.gamma) * t - offset, t, max_terms
+    ).value
 
 
 @contextmanager
@@ -104,8 +99,8 @@ def quadrature_memo():
     """Evaluate each distinct quadrature once inside the with-block.
 
     integral_quadrature and log_integral_quadrature share one entry per
-    (spec, rel_tol, max_subdivisions); the entries are dropped when the
-    block exits, so nothing outlives it.
+    spec; the entries are dropped when the block exits, so nothing
+    outlives it.
     """
     token = _MEMO.set({})
     try:
@@ -114,9 +109,7 @@ def quadrature_memo():
         _MEMO.reset(token)
 
 
-def _quadrature_scaled(
-    spec: IntegralSpec, rel_tol: float, max_subdivisions: int
-) -> tuple[float, float, int, float]:
+def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     """Adaptive quadrature of the offset-scaled integrand.
 
     Returns (scaled value, scaled error, subdivisions, log offset) with
@@ -124,36 +117,31 @@ def _quadrature_scaled(
     read once, when the quadrature starts.
     """
     memo = _MEMO.get()
-    key = (spec, rel_tol, max_subdivisions)
-    if memo is not None and key in memo:
-        return memo[key]
+    if memo is not None and spec in memo:
+        return memo[spec]
     offset = (1.0 - spec.gamma) * spec.x
     max_terms = specfun.term_cap()
     value, err, n = adaptive_quadrature(
         lambda t: _scaled_integrand(spec, offset, max_terms, t),
         0.0,
         spec.x,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
+        rel_tol=QUAD_REL_TOL,
+        max_subdivisions=QUAD_MAX_SUBDIVISIONS,
     )
     result = value, err, n, offset
     if memo is not None:
-        memo[key] = result
+        memo[spec] = result
     return result
 
 
-def integral_quadrature(
-    spec: IntegralSpec,
-    rel_tol: float = QUAD_REL_TOL,
-    max_subdivisions: int = QUAD_MAX_SUBDIVISIONS,
-) -> QuadratureResult:
+def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
     """Evaluate the damped integral by adaptive Gauss-Kronrod quadrature.
 
     The integrand is integrated in offset form
-    exp((1-gamma)t - (1-gamma)x) t^(-nu) [e^-t L_{nu+n}(t)] and the
-    offset is restored afterwards.
+    exp(-gamma t - (1-gamma)x) t^(-nu) L_{nu+n}(t), each value one
+    weighted Struve series, and the offset is restored afterwards.
     """
-    value, err, n, offset = _quadrature_scaled(spec, rel_tol, max_subdivisions)
+    value, err, n, offset = _quadrature_scaled(spec)
     if offset > 709.0:
         raise OverflowError(
             f"integral overflows binary64 at x={spec.x}, gamma={spec.gamma}; "
@@ -165,7 +153,7 @@ def integral_quadrature(
 
 def log_integral_quadrature(spec: IntegralSpec) -> float:
     """Natural log of the damped integral (for large-x tightness work)."""
-    value, _, _, offset = _quadrature_scaled(spec, QUAD_REL_TOL, QUAD_MAX_SUBDIVISIONS)
+    value, _, _, offset = _quadrature_scaled(spec)
     return offset + math.log(value)
 
 

@@ -2,9 +2,9 @@
 
 Gamma and log-gamma (the stdlib's, behind domain checks), the lower
 incomplete gamma function in log form, generalized hypergeometric
-series, and the modified Struve function of the first kind L_nu in plain
-and exponentially scaled form.  Every power series is summed by one
-kernel, sum_series, which also sets its term cap and raises
+series, and the modified Struve function of the first kind L_nu in
+plain, exponentially scaled and weighted form.  Every power series is
+summed by one kernel, sum_series, which also sets its term cap and raises
 ConvergenceError when the cap runs out.  Everything here is a pure
 function of its arguments; there is no shared mutable state.
 """
@@ -38,10 +38,10 @@ _INCGAMMA_CAP = 10000
 
 # sum_series divides its partial sum by _RESCALE (an exact power of two)
 # whenever the sum passes it, and starts from a mantissa near 1 when the
-# first term would be below exp(_LOG_TINY).
+# first term would be outside [exp(-_LOG_RANGE), exp(_LOG_RANGE)].
 _RESCALE_BITS = 930
 _RESCALE = 2.0**_RESCALE_BITS
-_LOG_TINY = -700.0
+_LOG_RANGE = 700.0
 _LN2 = math.log(2.0)
 # Cody-Waite split of ln 2: bits * _LN2_HI is exact for |bits| < 2**21.
 _LN2_HI = 6.93147180369123816490e-01
@@ -118,10 +118,12 @@ def sum_series(
         cap = max(cap, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
     c = log_first - offset
     bits = 0
-    if c < _LOG_TINY:
+    if not -_LOG_RANGE <= c <= _LOG_RANGE:
         bits = round(c / _LN2)
         # Both subtractions are exact when |log_first| is small next to
-        # offset, so the reduced exponent is as accurate as log_first.
+        # offset.  A weight folded into log_first makes it large; then they
+        # round at the size of log_first's own rounding error, so either way
+        # the reduced exponent is as accurate as log_first.
         c = ((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO
     total = term = math.exp(c)
     small = 0
@@ -196,7 +198,13 @@ def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
     and x below the binary64 overflow threshold; use struve_l_scaled for
     larger arguments.
     """
-    return _struve_series(nu, x, 0.0, max_terms)
+    # Bad arguments fall through to struve_l_weighted's DomainError.
+    if OVERFLOW_X < x < math.inf and -1.5 < nu < math.inf:
+        raise OverflowError(
+            f"struve_l overflows for x > {OVERFLOW_X:g} (x={x}); "
+            "use struve_l_scaled"
+        )
+    return struve_l_weighted(nu, x, 0.0, 0.0, 0.0, max_terms)
 
 
 def struve_l_scaled(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
@@ -206,31 +214,39 @@ def struve_l_scaled(nu: float, x: float, max_terms: int | None = None) -> Series
     first term; the summation kernel's running exponent keeps it finite
     for x well past 1e4.
     """
-    return _struve_series(nu, x, x, max_terms)
+    return struve_l_weighted(nu, x, 0.0, 0.0, x, max_terms)
 
 
-def _struve_series(
-    nu: float, x: float, offset: float, max_terms: int | None
+def struve_l_weighted(
+    mu: float, x: float, power: float, log_weight: float, offset: float,
+    max_terms: int | None = None,
 ) -> SeriesEval:
-    # exp(-offset) * L_nu(x); offset is 0 (struve_l) or x (struve_l_scaled).
-    if not -1.5 < nu < math.inf:
-        raise DomainError(f"modified Struve order must exceed -3/2, got nu={nu}")
+    """x^power * exp(log_weight - offset) * L_mu(x) from the defining
+    power series.
+
+    The weight goes into the log of the first term, one exactly rounded
+    sum, so no factor of the product is formed alone:
+    exp(-gamma x) x^(-nu) L_mu(x) stays accurate where x^(-nu), exp(x)
+    or L_mu(x) would leave binary64 by itself.  Pass offset = x (exact)
+    for large x; the kernel reduces it exactly.  Raises OverflowError
+    only when the value itself is beyond binary64.
+    """
+    if not -1.5 < mu < math.inf:
+        raise DomainError(f"modified Struve order must exceed -3/2, got nu={mu}")
     if not 0.0 <= x < math.inf:
         raise DomainError(f"struve_l requires finite x >= 0, got x={x}")
-    if x - offset > OVERFLOW_X:
-        raise OverflowError(
-            f"struve_l overflows for x > {OVERFLOW_X:g} (x={x}); "
-            "use struve_l_scaled"
-        )
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0, True)
     h = 0.5 * x
     h2 = h * h
 
     def ratio(k: int) -> float:
-        return h2 / ((k + 1.5) * (k + nu + 1.5))
+        return h2 / ((k + 1.5) * (k + mu + 1.5))
 
-    log_first = (nu + 1.0) * math.log(h) - log_gamma(1.5) - log_gamma(nu + 1.5)
+    log_first = math.fsum((
+        (mu + 1.0) * math.log(h), power * math.log(x), log_weight,
+        -log_gamma(1.5), -log_gamma(mu + 1.5),
+    ))
     name = "struve_l_scaled" if offset else "struve_l"
     return sum_series(log_first, ratio, offset, name, x, max_terms)
 

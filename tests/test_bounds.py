@@ -323,13 +323,13 @@ def test_bi3_tight_at_small_x(nu, n):
 
 
 # ---------------------------------------------------------------------------
-# bounds where exp((1-gamma)x) alone overflows binary64
+# bounds where one factor alone leaves binary64: exp((1-gamma)x) at large
+# x, x^(-nu) at tiny x
 
 
 def _mp_bi2_bi3(mp, nu, n, x):
     # bi2 and bi3 from their defining formulas with 30-digit L; the
-    # polynomial terms take the library coefficients, pinned above, and
-    # sit hundreds of orders of magnitude below the Struve terms here.
+    # polynomial terms take the library coefficients, pinned above.
     coefs = coefficients(nu, n)
     x = mp.mpf(x)
     l1 = mp.struvel(nu + n + 1, x) / x**nu
@@ -380,6 +380,25 @@ def test_bounds_past_exp_limit_match_mpmath(case):
     with mp.workdps(30):
         want = reference(mp)
         assert float(abs((got - want) / want)) < 1e-12
+
+
+@pytest.mark.parametrize("bound", [0, 1], ids=["bi2", "bi3"])
+def test_bounds_at_tiny_x_match_mpmath(bound):
+    # x^(-nu) = 1e330 alone overflows; the bounds are about x^2 = 1e-220
+    mp = pytest.importorskip("mpmath")
+    got = (lower_bi2, upper_bi3)[bound](3.0, 0.0, 1e-110)
+    assert math.isfinite(got)
+    with mp.workdps(30):
+        want = _mp_bi2_bi3(mp, 3, 0, 1e-110)[bound]
+        assert float(abs((got - want) / want)) < 1e-12
+
+
+def test_bi1_at_tiny_x_is_cancellation_only():
+    # L_3(x)/x^3 and the subtracted term agree to all digits at x = 1e-110
+    # (bi1 is O(x^3)), so the result is rounding noise of that term's size
+    x = 1e-110
+    term = x / (math.sqrt(math.pi) * 2.0**3 * math.gamma(4.5))
+    assert abs(lower_bi1(3.0, x)) <= 1e-12 * term
 
 
 def test_bound_beyond_binary64_still_overflows():

@@ -6,6 +6,8 @@ mpmath/scipy where available.
 """
 
 import math
+import random
+import time
 
 import mpmath
 import pytest
@@ -23,6 +25,7 @@ from struveint.specfun import (
     pfq,
     struve_l,
     struve_l_scaled,
+    struve_l_weighted,
     term_cap,
 )
 
@@ -294,6 +297,26 @@ def test_scaled_no_overflow_far_out(x):
     got = struve_l_scaled(1.0, x).value
     assert math.isfinite(got)
     assert abs(got * math.sqrt(2.0 * math.pi * x) - 1.0) <= 1e-3
+
+
+def test_weighted_matches_mpmath_on_a_seeded_sample():
+    # x^power exp(w - x) L_mu(x) as the bounds and the quadrature use it:
+    # w = (1-gamma)x, power = -nu, x log-uniform up to 700/(1-gamma).
+    # The reference takes the same float w, so only the routine's own
+    # error is measured.
+    rng = random.Random("struve_l_weighted")
+    start = time.perf_counter()
+    for _ in range(200):
+        gamma = rng.uniform(0.0, 0.9)
+        mu = rng.uniform(-1.4, 5.0)
+        power = -rng.uniform(-1.4, min(mu + 1.0, 3.0))
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(700.0 / (1.0 - gamma))))
+        w = (1.0 - gamma) * x
+        got = struve_l_weighted(mu, x, power, w, x).value
+        mx = mpmath.mpf(x)
+        want = mx**power * mpmath.exp(mpmath.mpf(w) - mx) * mpmath.struvel(mu, mx)
+        assert float(abs((got - want) / want)) <= 2e-13, (gamma, mu, power, x)
+    assert time.perf_counter() - start <= 2.0
 
 
 @pytest.mark.parametrize("nu,x", [(5.0, 7500.0), (-1.2, 1e4), (10.0, 5000.0)])

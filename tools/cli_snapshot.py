@@ -1,0 +1,88 @@
+"""Write the CLI output set that a change is compared on, one file per command.
+
+Usage:  python tools/cli_snapshot.py OUTDIR [CHECKOUT]
+
+Runs the struveint CLI of CHECKOUT (default: the checkout holding this
+script) on:
+
+- ``verify`` as CSV and JSON, on the default grid and on the grids of
+  ``perfbench/workloads.verify_grids`` for seeds 1, 41 and 45;
+- ``table table1|table2|dconstants`` as CSV and JSON;
+- the README ``eval`` and ``dconst`` examples and ``--version``.
+
+For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
+(stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
+Snapshot two checkouts into two directories and compare them with
+``diff -r``.  The grids come from this script's own checkout, so both
+snapshots run the same inputs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE))
+
+from perfbench import workloads  # noqa: E402
+
+VERIFY_SEEDS = (1, 41, 45)
+
+README_EXAMPLES = {
+    "eval-struve-l": ["eval", "struve-l", "--nu", "0", "--x", "1"],
+    "eval-struve-l-scaled": ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"],
+    "eval-integral": ["eval", "integral", "--gamma", "0.5", "--nu", "0", "--n", "0",
+                      "--x", "1", "--format", "json"],
+    "dconst": ["dconst", "--nu", "0", "--n", "0"],
+    "version": ["--version"],
+}
+
+
+def commands(outdir: Path) -> dict[str, list[str]]:
+    configs = outdir / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    grids = {"default": []}
+    for seed in VERIFY_SEEDS:
+        for i, grid in enumerate(workloads.verify_grids(seed)):
+            path = configs / f"seed{seed}-{i}.json"
+            path.write_text(json.dumps(grid) + "\n")
+            grids[f"seed{seed}-{i}"] = ["--config", str(path)]
+    out = {}
+    for grid, extra in grids.items():
+        for fmt in ("csv", "json"):
+            out[f"verify-{grid}-{fmt}"] = ["verify", *extra, "--format", fmt]
+    for kind in ("table1", "table2", "dconstants"):
+        for fmt in ("csv", "json"):
+            out[f"table-{kind}-{fmt}"] = ["table", kind, "--format", fmt]
+    out.update(README_EXAMPLES)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    checkout = Path(argv[1]).resolve() if len(argv) == 2 else HERE
+    src = checkout / "src"
+    if not (src / "struveint" / "__init__.py").is_file():
+        print(f"error: no struveint package under {src}", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("STRUVE_MAX_TERMS", None)
+    for name, args in commands(outdir).items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "struveint.cli", *args],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        (outdir / f"{name}.out").write_text(proc.stdout)
+        (outdir / f"{name}.err").write_text(f"{proc.stderr}exit status: {proc.returncode}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
