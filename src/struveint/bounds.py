@@ -58,13 +58,12 @@ class DConstant:
 
 @dataclass
 class BoundReport:
-    """Every applicable bound at one parameter point, with relative errors
-    against the integral and skip reasons for the inapplicable ones."""
+    """Every applicable bound at one parameter point, next to the
+    integral, and skip reasons for the inapplicable ones."""
 
     spec: IntegralSpec
     integral: float
     applicable_bounds: dict[str, float] = field(default_factory=dict)
-    rel_errors: dict[str, float] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
 
 
@@ -271,38 +270,34 @@ def d_constant(nu: float, n: float) -> DConstant:
     return _d_constant_cached(float(nu), float(n))
 
 
-def _check_bi78_domain(gamma, nu, n, x, d: DConstant, name: str) -> None:
+def _bi78_d(gamma, nu, n, x, name: str) -> float:
+    # D for (nu, n), once the bound's domain checks pass.
     _check_ratio_domain(nu, n, name)
-    if d.nu != nu or d.n != n:
-        raise DomainError(
-            f"{name} given a D constant for (nu={d.nu}, n={d.n}), "
-            f"but called with (nu={nu}, n={n})"
-        )
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"{name} requires 0 < gamma < 1, got gamma={gamma}")
     if x <= 0.0:
         raise DomainError(f"{name} requires x > 0, got x={x}")
-    if gamma >= 1.0 / d.value:
+    d = d_constant(nu, n).value
+    if gamma >= 1.0 / d:
         raise BoundNotApplicableError(
-            f"{name} only holds for gamma < 1/D = {1.0 / d.value:.6f}, "
+            f"{name} only holds for gamma < 1/D = {1.0 / d:.6f}, "
             f"got gamma={gamma}"
         )
+    return d
 
 
-def upper_bi7(gamma: float, nu: float, n: float, x: float, d: DConstant) -> float:
+def upper_bi7(gamma: float, nu: float, n: float, x: float) -> float:
     """Damped upper bound exp(-gamma x)/(1 - D gamma) times the undamped
-    integral; applicable only for gamma < 1/D."""
-    _check_bi78_domain(gamma, nu, n, x, d, "bi7")
-    return (
-        math.exp(-gamma * x) / (1.0 - d.value * gamma) * _undamped_integral(nu, n, x)
-    )
+    integral, with D = d_constant(nu, n); applicable only for gamma < 1/D."""
+    d = _bi78_d(gamma, nu, n, x, "bi7")
+    return math.exp(-gamma * x) / (1.0 - d * gamma) * _undamped_integral(nu, n, x)
 
 
-def upper_bi8(gamma: float, nu: float, n: float, x: float, d: DConstant) -> float:
+def upper_bi8(gamma: float, nu: float, n: float, x: float) -> float:
     """Fully explicit variant of bi7 with the undamped integral replaced
     by its bi3 upper bound."""
-    _check_bi78_domain(gamma, nu, n, x, d, "bi8")
-    return math.exp(-gamma * x) / (1.0 - d.value * gamma) * upper_bi3(nu, n, x)
+    d = _bi78_d(gamma, nu, n, x, "bi8")
+    return math.exp(-gamma * x) / (1.0 - d * gamma) * upper_bi3(nu, n, x)
 
 
 def _check_corollary_domain(nu: float, x: float) -> None:
@@ -332,13 +327,11 @@ def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
     return scale * lower_bi2(nu - 1.0, 0.0, x), scale * upper_bi3(nu - 1.0, 0.0, x)
 
 
-def bound_report(spec: IntegralSpec, d: DConstant | None = None) -> BoundReport:
+def bound_report(spec: IntegralSpec) -> BoundReport:
     """Evaluate the integral and every bound applicable at spec.
 
     Inapplicable or domain-erroring bounds are recorded in .skipped with
-    the reason rather than failing the whole report.  The D constant is
-    computed on demand (memoized) when bi7/bi8 are in play and no
-    precomputed one is supplied.
+    the reason rather than failing the whole report.
     """
     report = BoundReport(spec=spec, integral=integral_quadrature(spec).value)
     gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
@@ -367,15 +360,6 @@ def bound_report(spec: IntegralSpec, d: DConstant | None = None) -> BoundReport:
         else:
             report.skipped["bi4"] = "bi4 bounds the n = 0 integral only"
             report.skipped["bi5"] = "bi5 bounds the n = 0 integral only"
-        if nu <= -0.5 * (n + 1.0):
-            reason = f"D undefined: requires nu > -(n+1)/2, got nu={nu}, n={n}"
-            report.skipped["bi7"] = reason
-            report.skipped["bi8"] = reason
-        else:
-            dc = d if d is not None else d_constant(nu, n)
-            attempt("bi7", lambda: upper_bi7(gamma, nu, n, x, dc))
-            attempt("bi8", lambda: upper_bi8(gamma, nu, n, x, dc))
-
-    for name, value in report.applicable_bounds.items():
-        report.rel_errors[name] = abs(report.integral - value) / report.integral
+        attempt("bi7", lambda: upper_bi7(gamma, nu, n, x))
+        attempt("bi8", lambda: upper_bi8(gamma, nu, n, x))
     return report

@@ -46,11 +46,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
-
-
 class _ReportingGroup(click.Group):
     """Reports an evaluation failure in any subcommand as "error: ..."
     with exit status 1 instead of a traceback."""
@@ -59,7 +54,8 @@ class _ReportingGroup(click.Group):
         try:
             return super().invoke(ctx)
         except _EVAL_ERRORS as exc:
-            _fail(exc)
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_ReportingGroup)
@@ -159,10 +155,7 @@ def cmd_verify(config_path, fmt, out):
 
     Exits nonzero if any check fails.
     """
-    try:
-        config = GridConfig.from_json(config_path) if config_path else GridConfig()
-    except (TypeError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    config = GridConfig.from_json(config_path) if config_path else GridConfig()
     results = run_verification(config)
     if fmt == "csv":
         text = verification_to_csv(results)

@@ -97,8 +97,15 @@ class GridConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "GridConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        """Read a config file holding one JSON object; raises DomainError
+        when it does not."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DomainError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DomainError(f"config {path} must hold a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -174,6 +181,9 @@ def check_oracle_triangle(config: GridConfig) -> CheckResult:
             ref = integral_series_oracle(spec).value
         else:
             ref = integral_power_series(spec.nu, spec.n, spec.x).value
+        if ref == 0.0:
+            skipped += 1
+            continue
         rel = abs(quad - ref) / abs(ref)
         worst.update(tol - rel, gamma=spec.gamma, nu=spec.nu, n=spec.n, x=spec.x)
     return worst.result("oracle_triangle", f"rel tol {tol:g}", skipped)
@@ -189,6 +199,9 @@ def check_closed_form_agreement(config: GridConfig) -> CheckResult:
             continue
         quad = integral_quadrature(spec).value
         ref = bounds_mod.integral_closed_form(spec.nu, spec.x)
+        if ref == 0.0:
+            skipped += 1
+            continue
         rel = abs(quad - ref) / abs(ref)
         worst.update(tol - rel, nu=spec.nu, x=spec.x)
     return worst.result("closed_form_agreement", f"rel tol {tol:g}", skipped)
@@ -206,19 +219,24 @@ def check_ordering(config: GridConfig) -> CheckResult:
         report = bounds_mod.bound_report(spec)
         integral = report.integral
         skipped += len(report.skipped)
-        params = dict(gamma=spec.gamma, nu=spec.nu, n=spec.n, x=spec.x)
-        for name, value in report.applicable_bounds.items():
+        got = report.applicable_bounds
+        # Each comparison's gap, to be taken relative to the integral.
+        gaps = {}
+        for name, value in got.items():
             if name in lower_ids:
-                margin = (integral - value) / integral + slack
+                gaps[name] = integral - value
             else:
                 assert name in upper_ids
-                margin = (value - integral) / integral + slack
-            worst.update(margin, bound=name, **params)
-        got = report.applicable_bounds
+                gaps[name] = value - integral
         for below, above in (("bi5", "bi4"), ("bi7", "bi8")):
             if below in got and above in got:
-                worst.update((got[above] - got[below]) / integral + slack,
-                             bound=f"{below}<={above}", **params)
+                gaps[f"{below}<={above}"] = got[above] - got[below]
+        if integral == 0.0:
+            skipped += len(gaps)
+            continue
+        for name, gap in gaps.items():
+            worst.update(gap / integral + slack, bound=name, gamma=spec.gamma,
+                         nu=spec.nu, n=spec.n, x=spec.x)
     return worst.result("ordering", f"relative slack {slack:g}", skipped)
 
 
@@ -344,6 +362,9 @@ def check_integral_monotonicity(config: GridConfig) -> CheckResult:
                     continue
                 values = [integral_quadrature(s).value for s in specs]
                 for x1, x2, v1, v2 in zip(xs, xs[1:], values, values[1:]):
+                    if v2 == 0.0:
+                        skipped += 1
+                        continue
                     worst.update((v2 - v1) / v2, gamma=gamma, nu=nu, n=n,
                                  x1=x1, x2=x2)
     return worst.result("integral_monotonicity", "strict increase in x", skipped,

@@ -173,27 +173,21 @@ def integral_closed_form(nu: float, x: float) -> float:
     return front * pfq([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x).value
 
 
-def integral_power_series(
-    nu: float, n: float, x: float, max_terms: int | None = None
-) -> SeriesEval:
+def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:
     """Undamped integral for general order shift n, integrated term by
     term:  sum over k of
         (1/2)^(nu+n+2k+1) x^(n+2k+2) / ((n+2k+2) Gamma(k+3/2) Gamma(k+nu+n+3/2)).
     """
-    return _power_series(nu, n, x, 0.0, max_terms)
+    return _power_series(nu, n, x, 0.0)
 
 
-def integral_power_series_scaled(
-    nu: float, n: float, x: float, max_terms: int | None = None
-) -> SeriesEval:
+def integral_power_series_scaled(nu: float, n: float, x: float) -> SeriesEval:
     """exp(-x) times the undamped integral; the exp(-x) is folded into the
     first term, so large upper limits stay finite."""
-    return _power_series(nu, n, x, x, max_terms)
+    return _power_series(nu, n, x, x)
 
 
-def _power_series(
-    nu: float, n: float, x: float, offset: float, max_terms: int | None
-) -> SeriesEval:
+def _power_series(nu: float, n: float, x: float, offset: float) -> SeriesEval:
     # exp(-offset) times the undamped integral; offset is 0 or x.
     _check_undamped_args(nu, n, x)
     if x - offset > specfun.OVERFLOW_X:
@@ -220,10 +214,10 @@ def _power_series(
         )
 
     name = "integral_power_series_scaled" if offset else "integral_power_series"
-    return sum_series(log_first, ratio, offset, name, x, max_terms)
+    return sum_series(log_first, ratio, offset, name, x)
 
 
-def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> SeriesEval:
+def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
     """Termwise incomplete-gamma evaluation of the damped integral:
 
         sum over k of (1/2)^(nu+n+2k+1) / (Gamma(k+3/2) Gamma(k+nu+n+3/2))
@@ -262,7 +256,7 @@ def integral_series_oracle(spec: IntegralSpec, max_terms: int | None = None) -> 
         prev = cur
         return q
 
-    return sum_series(prev, ratio, 0.0, "integral_series_oracle", x, max_terms)
+    return sum_series(prev, ratio, 0.0, "integral_series_oracle", x)
 
 
 def log_asymptotic_integral(spec: IntegralSpec) -> float:

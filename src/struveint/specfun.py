@@ -165,7 +165,6 @@ def pfq(
     numerator_params: Sequence[float],
     denominator_params: Sequence[float],
     z: float,
-    max_terms: int | None = None,
 ) -> SeriesEval:
     """Generalized hypergeometric series pFq(a1..ap; b1..bq; z).
 
@@ -187,10 +186,10 @@ def pfq(
             den *= bj + k
         return num / den * z / (k + 1.0)
 
-    return sum_series(0.0, ratio, 0.0, "pFq series", max_terms=max_terms)
+    return sum_series(0.0, ratio, 0.0, "pFq series")
 
 
-def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
+def struve_l(nu: float, x: float) -> SeriesEval:
     """Modified Struve function of the first kind, L_nu(x), from its
     defining power series.
 
@@ -204,17 +203,17 @@ def struve_l(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
             f"struve_l overflows for x > {OVERFLOW_X:g} (x={x}); "
             "use struve_l_scaled"
         )
-    return struve_l_weighted(nu, x, 0.0, 0.0, 0.0, max_terms)
+    return struve_l_weighted(nu, x, 0.0, 0.0, 0.0)
 
 
-def struve_l_scaled(nu: float, x: float, max_terms: int | None = None) -> SeriesEval:
+def struve_l_scaled(nu: float, x: float) -> SeriesEval:
     """Exponentially scaled modified Struve function, exp(-x) * L_nu(x).
 
     The same power series as struve_l with the exp(-x) folded into its
     first term; the summation kernel's running exponent keeps it finite
     for x well past 1e4.
     """
-    return struve_l_weighted(nu, x, 0.0, 0.0, x, max_terms)
+    return struve_l_weighted(nu, x, 0.0, 0.0, x)
 
 
 def struve_l_weighted(

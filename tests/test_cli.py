@@ -209,29 +209,34 @@ def test_verify_bad_config(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "text,message",
     [
-        {"x_values": 5},
-        {"x_values": ["a"]},
-        {"tolerances": {"oracle_rel": "abc"}},
-        {"tolerances": {"oracle_rel": float("nan")}},
+        (json.dumps({"x_values": 5}), "x_values must be a list"),
+        (json.dumps({"x_values": ["a"]}), "x_values must be a list"),
+        (json.dumps({"tolerances": {"oracle_rel": "abc"}}), "must be a finite real"),
+        (json.dumps({"tolerances": {"oracle_rel": float("nan")}}),
+         "must be a finite real"),
+        ("[1, 2]", "must hold a JSON object"),
+        ("3", "must hold a JSON object"),
+        ("{x_values: [1]", "is not valid JSON"),
     ],
     ids=["values-not-a-list", "value-not-a-number", "tolerance-not-a-number",
-         "tolerance-nan"],
+         "tolerance-nan", "json-list", "json-number", "not-json"],
 )
-def test_verify_malformed_config_values(runner, tmp_path, raw):
+def test_verify_malformed_config_values(runner, tmp_path, text, message):
     config = tmp_path / "grid.json"
-    config.write_text(json.dumps(raw))
+    config.write_text(text)
     result = runner.invoke(cli, ["verify", "--config", str(config)])
     assert result.exit_code == 1
-    assert "error:" in result.output
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
     assert isinstance(result.exception, SystemExit)
 
 
 @pytest.mark.parametrize(
     "x_values",
-    [[800.0], [1e-170, 1e-160]],
-    ids=["quadrature-overflow", "oracle-underflow"],
+    [[800.0]],
+    ids=["quadrature-overflow"],
 )
 def test_verify_evaluation_error_exits_cleanly(runner, tmp_path, x_values):
     config = tmp_path / "grid.json"
@@ -241,6 +246,27 @@ def test_verify_evaluation_error_exits_cleanly(runner, tmp_path, x_values):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
     assert result.stdout == ""
+
+
+def test_verify_skips_zero_references(runner, tmp_path):
+    # Every integral at x = 1e-170, and all but the n = 0 ones at 1e-160,
+    # underflow to exactly 0; no relative error is taken against them.
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"x_values": [1e-170, 1e-160]}))
+    result = runner.invoke(cli, ["verify", "--config", str(config), "--format", "json"])
+    assert not result.stderr.startswith("error: ")
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    got = {name: (checks[name]["points"], checks[name]["skipped"])
+           for name in ("oracle_triangle", "closed_form_agreement", "ordering",
+                        "integral_monotonicity")}
+    assert got == {
+        "oracle_triangle": (16, 80),
+        "closed_form_agreement": (4, 4),
+        "ordering": (78, 678),
+        "integral_monotonicity": (16, 32),
+    }
+    for name in ("oracle_triangle", "closed_form_agreement", "integral_monotonicity"):
+        assert checks[name]["status"] == "pass"
 
 
 _BAD_CAP_COMMANDS = {

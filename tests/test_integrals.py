@@ -255,16 +255,18 @@ def test_oracle_requires_damping():
         integral_series_oracle(IntegralSpec(0.0, 0.0, 0.0, 1.0))
 
 
-def test_oracle_non_convergence():
+def test_oracle_non_convergence(monkeypatch):
+    monkeypatch.setenv("STRUVE_MAX_TERMS", "4")
     spec = IntegralSpec(0.5, 0.0, 0.0, 20.0)
     with pytest.raises(ConvergenceError):
-        integral_series_oracle(spec, max_terms=4)
+        integral_series_oracle(spec)
 
 
 @pytest.mark.parametrize("fn", [integral_power_series, integral_power_series_scaled])
-def test_power_series_non_convergence(fn):
+def test_power_series_non_convergence(fn, monkeypatch):
+    monkeypatch.setenv("STRUVE_MAX_TERMS", "4")
     with pytest.raises(ConvergenceError):
-        fn(0.0, 0.5, 20.0, max_terms=4)
+        fn(0.0, 0.5, 20.0)
 
 
 def test_power_series_overflow_guard():

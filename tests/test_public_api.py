@@ -2,6 +2,7 @@
 computations and the CLI need, each resolvable."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -70,3 +71,25 @@ def test_all_lists_exactly_the_public_names():
 def test_unused_functions_stay_removed(module, name):
     assert not hasattr(struveint, name)
     assert not hasattr(importlib.import_module(f"struveint.{module}"), name)
+
+
+@pytest.mark.parametrize(
+    "module,name,parameter",
+    [
+        # D follows from (nu, n); the bounds compute it themselves.
+        ("bounds", "upper_bi7", "d"),
+        ("bounds", "upper_bi8", "d"),
+        ("bounds", "bound_report", "d"),
+        ("bounds", "BoundReport", "rel_errors"),
+        # STRUVE_MAX_TERMS is the one series term cap.
+        ("specfun", "pfq", "max_terms"),
+        ("specfun", "struve_l", "max_terms"),
+        ("specfun", "struve_l_scaled", "max_terms"),
+        ("integrals", "integral_power_series", "max_terms"),
+        ("integrals", "integral_power_series_scaled", "max_terms"),
+        ("integrals", "integral_series_oracle", "max_terms"),
+    ],
+)
+def test_removed_parameters_stay_removed(module, name, parameter):
+    fn = getattr(importlib.import_module(f"struveint.{module}"), name)
+    assert parameter not in inspect.signature(fn).parameters

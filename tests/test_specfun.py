@@ -182,9 +182,10 @@ def test_pfq_p_eq_q_plus_one_radius():
     assert pfq([1.0, 2.0], [3.0], 0.5).converged
 
 
-def test_pfq_non_convergence_error():
+def test_pfq_non_convergence_error(monkeypatch):
+    monkeypatch.setenv("STRUVE_MAX_TERMS", "5")
     with pytest.raises(ConvergenceError):
-        pfq([1.0, 1.0], [1.5, 2.0, 1.5], 100.0, max_terms=5)
+        pfq([1.0, 1.0], [1.5, 2.0, 1.5], 100.0)
 
 
 def test_pfq_series_eval_invariants():
@@ -420,14 +421,10 @@ def test_term_cap_environment_override(monkeypatch):
         term_cap()
 
 
-def test_explicit_max_terms_beats_environment(monkeypatch):
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "5")
-    assert struve_l(0.0, 1.0, max_terms=50).converged
-
-
-def test_plain_and_scaled_struve_share_the_cap_rule():
-    # Past x = 30 both forms grow an explicit cap with x the same way.
-    plain = struve_l(0.0, 100.0, max_terms=50)
-    scaled = struve_l_scaled(0.0, 100.0, max_terms=50)
+def test_plain_and_scaled_struve_share_the_cap_rule(monkeypatch):
+    # Past x = 30 both forms grow the configured cap with x the same way.
+    monkeypatch.setenv("STRUVE_MAX_TERMS", "50")
+    plain = struve_l(0.0, 100.0)
+    scaled = struve_l_scaled(0.0, 100.0)
     assert rel_err(plain.value, math.exp(100.0) * scaled.value) <= 1e-14
     assert plain.terms_used == scaled.terms_used

@@ -5,8 +5,10 @@ Usage:  python tools/cli_snapshot.py OUTDIR [CHECKOUT]
 Runs the struveint CLI of CHECKOUT (default: the checkout holding this
 script) on:
 
-- ``verify`` as CSV and JSON, on the default grid and on the grids of
-  ``perfbench/workloads.verify_grids`` for seeds 1, 41 and 45;
+- ``verify`` as CSV and JSON, on the default grid, on the grids of
+  ``perfbench/workloads.verify_grids`` for seeds 1, 41 and 45, and on
+  the default grid with ``x_values`` [1e-170, 1e-160], where most
+  integrals underflow to 0;
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples and ``--version``.
 
@@ -32,6 +34,9 @@ from perfbench import workloads  # noqa: E402
 
 VERIFY_SEEDS = (1, 41, 45)
 
+#: Extra verify grids by name: config overrides of the default grid.
+EXTRA_GRIDS = {"tiny-x": {"x_values": [1e-170, 1e-160]}}
+
 README_EXAMPLES = {
     "eval-struve-l": ["eval", "struve-l", "--nu", "0", "--x", "1"],
     "eval-struve-l-scaled": ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"],
@@ -45,12 +50,14 @@ README_EXAMPLES = {
 def commands(outdir: Path) -> dict[str, list[str]]:
     configs = outdir / "configs"
     configs.mkdir(parents=True, exist_ok=True)
+    named = {f"seed{seed}-{i}": grid for seed in VERIFY_SEEDS
+             for i, grid in enumerate(workloads.verify_grids(seed))}
+    named.update(EXTRA_GRIDS)
     grids = {"default": []}
-    for seed in VERIFY_SEEDS:
-        for i, grid in enumerate(workloads.verify_grids(seed)):
-            path = configs / f"seed{seed}-{i}.json"
-            path.write_text(json.dumps(grid) + "\n")
-            grids[f"seed{seed}-{i}"] = ["--config", str(path)]
+    for name, grid in named.items():
+        path = configs / f"{name}.json"
+        path.write_text(json.dumps(grid) + "\n")
+        grids[name] = ["--config", str(path)]
     out = {}
     for grid, extra in grids.items():
         for fmt in ("csv", "json"):
