@@ -24,7 +24,13 @@ from .integrals import (
     integral_power_series_scaled,
     integral_quadrature,
 )
-from .specfun import SQRT_PI, gamma_fn, struve_l_scaled, struve_l_weighted
+from .specfun import (
+    SQRT_PI,
+    gamma_fn,
+    log_lower_incomplete_gamma,
+    struve_l_scaled,
+    struve_l_weighted,
+)
 
 #: Grid used by the supremum scan: log-spaced points on [1e-3, 500].
 D_SCAN_POINTS = 200
@@ -118,12 +124,13 @@ def _undamped_integral(nu: float, n: float, x: float) -> float:
 
 def lower_bi1(nu: float, x: float) -> float:
     """Lower bound L_nu(x)/x^nu - x / (sqrt(pi) 2^nu Gamma(nu+3/2)) for
-    the undamped n = 0 integral; tight as x grows."""
+    the undamped n = 0 integral; tight as x grows.  By DLMF 11.4(iii) it
+    is the undamped integral at n = 1, summed as that positive series."""
     if nu <= -1.5:
         raise DomainError(f"bi1 requires nu > -3/2, got nu={nu}")
     if x <= 0.0:
         raise DomainError(f"bi1 requires x > 0, got x={x}")
-    return _struve_over_xnu(nu, nu, x) - x / (SQRT_PI * 2.0**nu * gamma_fn(nu + 1.5))
+    return integral_power_series(nu, 1.0, x).value
 
 
 def _check_bi23_domain(nu: float, n: float, x: float, name: str) -> None:
@@ -172,8 +179,8 @@ def lower_bi4(gamma: float, nu: float, x: float) -> float:
     closed form."""
     _check_damped_domain(gamma, nu, x, "bi4")
     u = gamma * x
-    # 1 - (1+u)e^-u == -expm1(-u) - u exp(-u), stable for small u
-    poly = -math.expm1(-u) - u * math.exp(-u)
+    # 1 - (1+u)e^-u is gamma_low(2, u), a positive series; 0 if u underflows
+    poly = math.exp(log_lower_incomplete_gamma(2.0, u)) if u > 0.0 else 0.0
     tail = poly / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5))
     inner = math.exp(-u) * integral_closed_form(nu, x) - tail
     return inner / (1.0 - gamma)
@@ -217,8 +224,6 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
 def _golden_max(f, a: float, b: float, xtol: float) -> float:
     """Golden-section search for the maximizer of f on [a, b]."""
     h = b - a
-    if h <= xtol:
-        return 0.5 * (a + b)
     steps = int(math.ceil(math.log(xtol / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h

@@ -162,7 +162,8 @@ def integral_closed_form(nu: float, x: float) -> float:
 
         x^2 / (sqrt(pi) 2^(nu+1) Gamma(nu+3/2))
             * 2F3(1, 1; 3/2, 2, nu+3/2; x^2/4)
-    """
+
+    Raises OverflowError when the product is beyond binary64."""
     if nu <= -1.5:
         raise DomainError(f"closed form requires nu > -3/2, got nu={nu}")
     if x < 0.0:
@@ -170,7 +171,10 @@ def integral_closed_form(nu: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     front = x * x / (SQRT_PI * 2.0 ** (nu + 1.0) * gamma_fn(nu + 1.5))
-    return front * pfq([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x).value
+    value = front * pfq([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x).value
+    if math.isinf(value):
+        raise OverflowError("integral_closed_form overflows binary64")
+    return value
 
 
 def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:
@@ -190,11 +194,6 @@ def integral_power_series_scaled(nu: float, n: float, x: float) -> SeriesEval:
 def _power_series(nu: float, n: float, x: float, offset: float) -> SeriesEval:
     # exp(-offset) times the undamped integral; offset is 0 or x.
     _check_undamped_args(nu, n, x)
-    if x - offset > specfun.OVERFLOW_X:
-        raise OverflowError(
-            f"integral_power_series overflows for x > {specfun.OVERFLOW_X:g}; "
-            "use integral_power_series_scaled"
-        )
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0, True)
     log_first = (

@@ -3,10 +3,10 @@
 Gamma and log-gamma (the stdlib's, behind domain checks), the lower
 incomplete gamma function in log form, generalized hypergeometric
 series, and the modified Struve function of the first kind L_nu in
-plain, exponentially scaled and weighted form.  Every power series is
-summed by one kernel, sum_series, which also sets its term cap and raises
-ConvergenceError when the cap runs out.  Everything here is a pure
-function of its arguments; there is no shared mutable state.
+plain, exponentially scaled and weighted form.  One kernel, sum_series,
+sums every power series, sets its term cap and raises ConvergenceError
+(cap run out) or OverflowError (sum beyond binary64).  Everything here
+is a pure function of its arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ DEFAULT_MAX_TERMS = 600
 
 #: Stop summing once |term| <= REL_TERM_TOL * |partial sum| twice in a row.
 REL_TERM_TOL = 1e-16
-
-#: Plain (unscaled) evaluation of L_nu refuses arguments above this.
-OVERFLOW_X = 700.0
 
 #: Past this argument the term cap of a series in x grows with x.
 SCALED_SWITCH_X = 30.0
@@ -111,7 +108,8 @@ def sum_series(
     At most max_terms terms are taken (term_cap() when None).  A series
     in x needs ~x/2 terms before its terms even start decaying, so past
     SCALED_SWITCH_X the cap grows to x/2 + 12 sqrt(x) + 80.  Raises
-    ConvergenceError naming the series when the cap runs out.
+    ConvergenceError when the cap runs out and OverflowError when the
+    sum is beyond binary64, each naming the series.
     """
     cap = max_terms if max_terms is not None else term_cap()
     if x > SCALED_SWITCH_X:
@@ -134,10 +132,12 @@ def sum_series(
         if abs(q) < 1.0 and abs(term) <= REL_TERM_TOL * abs(total):
             small += 1
             if small == 2:
-                return SeriesEval(
-                    math.ldexp(total, bits), math.ldexp(2.0 * abs(term), bits),
-                    k + 2, True,
-                )
+                try:
+                    value = math.ldexp(total, bits)
+                except OverflowError:
+                    raise OverflowError(f"{name} overflows binary64") from None
+                err = math.ldexp(2.0 * abs(term), bits)
+                return SeriesEval(value, err, k + 2, True)
         else:
             small = 0
             if not -_RESCALE < total < _RESCALE:
@@ -193,16 +193,10 @@ def struve_l(nu: float, x: float) -> SeriesEval:
     """Modified Struve function of the first kind, L_nu(x), from its
     defining power series.
 
-    Restricted to nu > -3/2 (where the function is positive for x > 0)
-    and x below the binary64 overflow threshold; use struve_l_scaled for
-    larger arguments.
+    Restricted to nu > -3/2 (where the function is positive for x > 0).
+    Raises OverflowError when L_nu(x) itself is beyond binary64 (x a
+    little past 700); struve_l_scaled stays finite there.
     """
-    # Bad arguments fall through to struve_l_weighted's DomainError.
-    if OVERFLOW_X < x < math.inf and -1.5 < nu < math.inf:
-        raise OverflowError(
-            f"struve_l overflows for x > {OVERFLOW_X:g} (x={x}); "
-            "use struve_l_scaled"
-        )
     return struve_l_weighted(nu, x, 0.0, 0.0, 0.0)
 
 
@@ -246,7 +240,8 @@ def struve_l_weighted(
         (mu + 1.0) * math.log(h), power * math.log(x), log_weight,
         -log_gamma(1.5), -log_gamma(mu + 1.5),
     ))
-    name = "struve_l_scaled" if offset else "struve_l"
+    plain = "struve_l_scaled" if offset else "struve_l"
+    name = "struve_l_weighted" if power or log_weight else plain
     return sum_series(log_first, ratio, offset, name, x, max_terms)
 
 

@@ -106,6 +106,10 @@ def test_bi2_below_integral():
 def test_bi2_domain():
     with pytest.raises(DomainError):
         lower_bi2(-0.51, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        lower_bi2(0.0, -1.0, 1.0)
+    with pytest.raises(DomainError):
+        upper_bi3(0.0, 0.0, 0.0)
 
 
 def test_bi3_values():
@@ -160,6 +164,34 @@ def test_bi4_domain():
     for gamma in (0.0, 1.0):
         with pytest.raises(DomainError):
             lower_bi4(gamma, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        lower_bi4(0.5, -1.5, 1.0)
+    with pytest.raises(DomainError):
+        lower_bi5(0.5, 0.0, 0.0)
+
+
+def _mp_bi4(mp, gamma, x):
+    # bi4 at nu = 0 from its defining formula, the closed form as 2F3
+    gamma, x = mp.mpf(gamma), mp.mpf(x)
+    u = gamma * x
+    integral = x * x / mp.pi * mp.hyper([1, 1], [1.5, 2, 1.5], x * x / 4)
+    tail = (1 - (1 + u) * mp.exp(-u)) / (mp.sqrt(mp.pi) * gamma * mp.gamma(1.5))
+    return (mp.exp(-u) * integral - tail) / (1 - gamma)
+
+
+@pytest.mark.parametrize("gamma,x", [(0.5, 1e-6), (0.5, 1e-8), (0.5, 1e-12), (0.9, 1e-12)])
+def test_bi4_at_small_gamma_x_matches_mpmath(gamma, x):
+    # 1 - (1+u)e^-u is about u^2/2 here, far below either of its terms
+    mp = pytest.importorskip("mpmath")
+    got = lower_bi4(gamma, 0.0, x)
+    with mp.workdps(50):
+        want = _mp_bi4(mp, gamma, x)
+        assert float(abs((got - want) / want)) < 1e-13
+
+
+def test_bi4_where_gamma_x_underflows():
+    # gamma x rounds to 0 at the smallest double; bi4, about x^2, is 0 too
+    assert lower_bi4(0.5, 0.0, 5e-324) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +213,8 @@ def test_ratio_at_reported_argmax():
 def test_ratio_domain():
     with pytest.raises(DomainError):
         ratio_fn(-0.5, 0.0, 1.0)  # boundary order is excluded here
+    with pytest.raises(DomainError):
+        ratio_fn(0.0, -1.0, 1.0)
     with pytest.raises(DomainError):
         ratio_fn(0.0, 0.0, 0.0)
 
@@ -274,6 +308,11 @@ def test_bi7_gamma_to_zero_exceeds_undamped():
 def test_bi7_inapplicable_regime():
     with pytest.raises(BoundNotApplicableError):
         upper_bi7(0.95, 0.0, 0.0, 1.0)  # 0.95 >= 1/1.1083
+    for gamma in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            upper_bi7(gamma, 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        upper_bi8(0.5, 0.0, 0.0, 0.0)
 
 
 def test_bi8_general_n_uses_power_series_route():
@@ -389,11 +428,19 @@ def test_bounds_at_tiny_x_match_mpmath(bound):
 
 
 def test_bi1_at_tiny_x_is_cancellation_only():
-    # L_3(x)/x^3 and the subtracted term agree to all digits at x = 1e-110
-    # (bi1 is O(x^3)), so the result is rounding noise of that term's size
+    # L_3(x)/x^3 and the subtracted term agree to all digits at x = 1e-110;
+    # their difference, bi1 = O(x^3) = 1e-330, is below that term's size
     x = 1e-110
     term = x / (math.sqrt(math.pi) * 2.0**3 * math.gamma(4.5))
     assert abs(lower_bi1(3.0, x)) <= 1e-12 * term
+
+
+def test_bi1_at_tiny_x_is_its_leading_term():
+    # bi1 is the n = 1 undamped integral, x^3 / (2^(nu+2) 3 Gamma(3/2)
+    # Gamma(nu+5/2)) to relative order x^2
+    nu, x = 3.0, 1e-100
+    lead = x**3 / (2.0 ** (nu + 2.0) * 3.0 * math.gamma(1.5) * math.gamma(nu + 2.5))
+    assert rel_err(lower_bi1(nu, x), lead) < 1e-13
 
 
 def test_bound_beyond_binary64_still_overflows():
@@ -411,6 +458,22 @@ def test_bound_beyond_binary64_below_exp_limit_overflows(call):
     # exp((1-gamma)x) is still finite here, but x^(-nu) = x^1.4 carries
     # the quotient to about 2e310, past the largest double
     with pytest.raises(OverflowError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integral_closed_form(0.0, 716.0),
+        lambda: lower_bi4(0.5, 0.0, 716.0),
+        lambda: corollary_middle(1.0, 716.0),
+    ],
+    ids=["closed-form", "bi4", "corollary-middle"],
+)
+def test_closed_form_product_beyond_binary64_overflows(call):
+    # the 2F3 series is finite at x = 716 but the closed form, about
+    # exp(711.8), is not; bi4 (about exp(354)) needs it whole
+    with pytest.raises(OverflowError, match="^integral_closed_form overflows binary64$"):
         call()
 
 
@@ -461,6 +524,8 @@ def test_corollary_domain():
         corollary_middle(0.5, 1.0)
     with pytest.raises(DomainError):
         corollary_bounds(0.4, 1.0)
+    with pytest.raises(DomainError):
+        corollary_middle(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ def test_config_tolerance_override():
 def test_config_rejects_unknown_tolerance():
     with pytest.raises(DomainError):
         GridConfig(tolerances={"bogus": 1.0})
+    with pytest.raises(DomainError):
+        GridConfig(tolerances=[("oracle_rel", 1e-6)])
 
 
 def test_tracker_keeps_first_smallest_margin_and_ignores_nan():

@@ -40,7 +40,7 @@ def closed_form_brute(nu: float, x: float, terms: int = 60) -> float:
 
 
 # ---------------------------------------------------------------------------
-# IntegralSpec validation
+# argument validation: IntegralSpec and the undamped series' own checks
 
 
 def test_spec_rejects_bad_gamma():
@@ -53,16 +53,22 @@ def test_spec_rejects_bad_gamma():
 def test_spec_rejects_bad_n():
     with pytest.raises(DomainError):
         IntegralSpec(0.0, 0.0, -1.0, 1.0)
+    with pytest.raises(DomainError):
+        integral_power_series(0.0, -1.0, 1.0)
 
 
 def test_spec_rejects_order_sum():
     with pytest.raises(DomainError):
         IntegralSpec(0.0, -2.0, 0.2, 1.0)
+    with pytest.raises(DomainError):
+        integral_power_series(-2.0, 0.2, 1.0)
 
 
 def test_spec_rejects_bad_x():
     with pytest.raises(DomainError):
         IntegralSpec(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        integral_power_series(0.0, 0.0, -1.0)
 
 
 def test_spec_gamma_zero_permitted():
@@ -141,6 +147,8 @@ def test_closed_form_zero():
 def test_closed_form_domain():
     with pytest.raises(DomainError):
         integral_closed_form(-1.5, 1.0)
+    with pytest.raises(DomainError):
+        integral_closed_form(0.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +279,20 @@ def test_power_series_non_convergence(fn, monkeypatch):
 
 def test_power_series_overflow_guard():
     with pytest.raises(OverflowError):
-        integral_power_series(0.0, 0.5, 701.0)
+        integral_power_series(0.0, 0.5, 720.0)
+
+
+@pytest.mark.parametrize("x", [701.0, 705.0])
+def test_power_series_past_700_matches_mpmath(x):
+    # the integral of L_{1/2} up to 701 is 4.16e302, still a double;
+    # the reference is its 2F3 form at 30 digits
+    with mpmath.workdps(30):
+        want = (
+            mpmath.mpf(x) ** 2.5 / (2.5 * mpmath.gamma(1.5) * mpmath.mpf(2) ** 1.5)
+            * mpmath.hyper([1, 1.25], [1.5, 2, 2.25], mpmath.mpf(x) ** 2 / 4)
+        )
+        got = integral_power_series(0.0, 0.5, x).value
+        assert float(abs((got - want) / want)) < 1e-13
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.9])

@@ -15,7 +15,7 @@ from scipy.special import modstruve
 
 from conftest import log_grid, rel_err
 from struveint.exceptions import ConvergenceError, DomainError
-from struveint.integrals import IntegralSpec
+from struveint.integrals import IntegralSpec, integral_power_series
 from struveint.specfun import (
     DEFAULT_MAX_TERMS,
     SQRT_PI,
@@ -179,6 +179,8 @@ def test_pfq_denominator_validation():
 def test_pfq_p_eq_q_plus_one_radius():
     with pytest.raises(DomainError):
         pfq([1.0, 2.0], [3.0], 1.0)
+    with pytest.raises(DomainError):
+        pfq([1.0, 2.0, 3.0], [4.0], 0.5)  # p > q+1 never converges
     assert pfq([1.0, 2.0], [3.0], 0.5).converged
 
 
@@ -245,7 +247,30 @@ def test_struve_domain_and_overflow():
     with pytest.raises(DomainError):
         struve_l(0.0, -1.0)
     with pytest.raises(OverflowError):
-        struve_l(0.0, 701.0)
+        struve_l(0.0, 720.0)
+
+
+@pytest.mark.parametrize("x", [701.0, 705.0])
+def test_struve_past_700_matches_mpmath(x):
+    # L_0(705) = 2.26e304 is still a double; the plain series returns it
+    want = mpmath.struvel(0, x)
+    assert float(abs((struve_l(0.0, x).value - want) / want)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: struve_l(0.0, 720.0), "struve_l"),
+        (lambda: struve_l_weighted(0.0, 720.0, 1.0, 0.0, 0.0), "struve_l_weighted"),
+        (lambda: pfq([1.0, 1.0], [1.5, 2.0, 1.5], 0.25 * 730.0**2), "pFq series"),
+        (lambda: integral_power_series(0.0, 0.5, 720.0), "integral_power_series"),
+    ],
+    ids=["struve_l", "struve_l_weighted", "pfq", "integral_power_series"],
+)
+def test_overflow_names_the_series(call, name):
+    # each value is beyond the largest double: L_0(720) is about exp(715.8)
+    with pytest.raises(OverflowError, match=f"^{name} overflows binary64$"):
+        call()
 
 
 def test_struve_series_metadata():

@@ -10,7 +10,9 @@ script) on:
   the default grid with ``x_values`` [1e-170, 1e-160], where most
   integrals underflow to 0;
 - ``table table1|table2|dconstants`` as CSV and JSON;
-- the README ``eval`` and ``dconst`` examples and ``--version``.
+- the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
+  x = 705 and 720 (either side of where L_0 leaves binary64), and
+  ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -39,6 +41,8 @@ EXTRA_GRIDS = {"tiny-x": {"x_values": [1e-170, 1e-160]}}
 
 README_EXAMPLES = {
     "eval-struve-l": ["eval", "struve-l", "--nu", "0", "--x", "1"],
+    "eval-struve-l-705": ["eval", "struve-l", "--nu", "0", "--x", "705"],
+    "eval-struve-l-720": ["eval", "struve-l", "--nu", "0", "--x", "720"],
     "eval-struve-l-scaled": ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"],
     "eval-integral": ["eval", "integral", "--gamma", "0.5", "--nu", "0", "--n", "0",
                       "--x", "1", "--format", "json"],
