@@ -152,17 +152,22 @@ def lower_bi2(nu: float, n: float, x: float) -> float:
 
 def upper_bi3(nu: float, n: float, x: float) -> float:
     """Upper bound for the undamped integral; tight both as x grows and
-    as x drops to 0, exact on the boundary nu = -(n+1)/2."""
+    as x drops to 0, exact on the boundary nu = -(n+1)/2.
+
+    Raises OverflowError when the sum or a term of it is beyond binary64."""
     _check_bi23_domain(nu, n, x, "bi3")
     coefs = coefficients(nu, n)
     lead = 2.0 * (nu + n + 1.0) / (n + 1.0)
     second = (2.0 * nu + n + 1.0) / (n + 1.0)
-    return (
+    value = (
         lead * _struve_over_xnu(nu + n + 1.0, nu, x)
         - second * _struve_over_xnu(nu + n + 3.0, nu, x)
         + coefs.b * x ** (n + 4.0)
         - coefs.c * x ** (n + 2.0)
     )
+    if not math.isfinite(value):
+        raise OverflowError("upper_bi3 overflows binary64")
+    return value
 
 
 def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
@@ -326,10 +331,15 @@ def corollary_middle(nu: float, x: float) -> float:
 
 def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
     """Two-sided bounds on corollary_middle: x^(nu-1) times bi2 and bi3
-    at order nu-1, n = 0, so built from L_nu and L_{nu+2}."""
+    at order nu-1, n = 0, so built from L_nu and L_{nu+2}.  Raises
+    OverflowError when either is beyond binary64."""
     _check_corollary_domain(nu, x)
     scale = x ** (nu - 1.0)
-    return scale * lower_bi2(nu - 1.0, 0.0, x), scale * upper_bi3(nu - 1.0, 0.0, x)
+    lower = scale * lower_bi2(nu - 1.0, 0.0, x)
+    upper = scale * upper_bi3(nu - 1.0, 0.0, x)
+    if math.isinf(lower) or math.isinf(upper):
+        raise OverflowError("corollary_bounds overflows binary64")
+    return lower, upper
 
 
 def bound_report(spec: IntegralSpec) -> BoundReport:

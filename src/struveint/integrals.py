@@ -6,9 +6,10 @@ The central object is
                          exp(-gamma t) t^(-nu) L_{nu+n}(t) dt,
 
 evaluated three ways: a generalized-hypergeometric closed form for the
-undamped n = 0 case, adaptive quadrature for everything, and a termwise
-series (plain powers for gamma = 0, lower incomplete gamma otherwise)
-that serves as an independent oracle.
+undamped n = 0 case, adaptive quadrature for everything (replaced by the
+integrated Hankel expansion at large (1-gamma)x, where a proven bound
+says it is accurate), and a termwise series (plain powers for gamma = 0,
+lower incomplete gamma otherwise) that serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ QUAD_REL_TOL = 1e-12
 
 #: Subdivision budget for one integral.
 QUAD_MAX_SUBDIVISIONS = 2000
+
+# Term cap of the large-x expansion.
+_EXPANSION_MAX_TERMS = 100
 
 # Scaled quadratures of the current quadrature_memo() block, or None
 # outside one.
@@ -99,8 +103,8 @@ def quadrature_memo():
     """Evaluate each distinct quadrature once inside the with-block.
 
     integral_quadrature and log_integral_quadrature share one entry per
-    spec; the entries are dropped when the block exits, so nothing
-    outlives it.
+    spec, from GK15 or from the large-x expansion; the entries are
+    dropped when the block exits, so nothing outlives it.
     """
     token = _MEMO.set({})
     try:
@@ -110,28 +114,100 @@ def quadrature_memo():
 
 
 def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
-    """Adaptive quadrature of the offset-scaled integrand.
+    """The offset-scaled integral, from the large-x expansion where it
+    applies and by adaptive quadrature otherwise.
 
     Returns (scaled value, scaled error, subdivisions, log offset) with
     true integral = exp(offset) * scaled value.  The series term cap is
-    read once, when the quadrature starts.
+    read once, when a quadrature starts.
     """
     memo = _MEMO.get()
     if memo is not None and spec in memo:
         return memo[spec]
     offset = (1.0 - spec.gamma) * spec.x
-    max_terms = specfun.term_cap()
-    value, err, n = adaptive_quadrature(
-        lambda t: _scaled_integrand(spec, offset, max_terms, t),
-        0.0,
-        spec.x,
-        rel_tol=QUAD_REL_TOL,
-        max_subdivisions=QUAD_MAX_SUBDIVISIONS,
-    )
-    result = value, err, n, offset
+    result = _expansion_scaled(spec, offset)
+    if result is None:
+        max_terms = specfun.term_cap()
+        value, err, n = adaptive_quadrature(
+            lambda t: _scaled_integrand(spec, offset, max_terms, t),
+            0.0,
+            spec.x,
+            rel_tol=QUAD_REL_TOL,
+            max_subdivisions=QUAD_MAX_SUBDIVISIONS,
+        )
+        result = value, err, n, offset
     if memo is not None:
         memo[spec] = result
     return result
+
+
+def _expansion_scaled(
+    spec: IntegralSpec, offset: float
+) -> tuple[float, float, int, float] | None:
+    """exp(-offset) times the integral from its large-x expansion, as
+    (value, error, 0 subdivisions, offset); None where GK15 must be used.
+
+    The Hankel expansion of I_mu, mu = nu + n (DLMF 10.40.1), integrated
+    term by term (Olver 1974, ch. 3) gives lead * sum of u_m, with lead
+    from log_asymptotic_integral, c = 1 - gamma, p = nu + 1/2 and
+        u_0 = 1,  u_{m+1} = u_m (p+m)/(cx) + h_{m+1},
+        h_k = (-1)^k a_k(mu) / x^k,  a_k = prod_{i<=k} (4mu^2-(2i-1)^2) / (k! 8^k).
+    It leaves out the head (the integral over [0, x/2]), its own value at
+    x/2 and the M_mu = L_mu - I_mu part, a power of t (DLMF 11.6.1).  For
+    mu >= -1/2 the L_mu series has term ratios at most t^2/((2k+2)(2k+3)),
+    so L_mu(t) <= T_0(t) e^t with T_0 its first term, and
+        head <= lead x^(mu+3/2) 2^(-mu-n-1/2) exp(-cx/2) / Gamma(mu+3/2),
+    which also bounds the value at x/2 once x >= 4mu + 6.  The route needs
+    this below e^-41 of lead.  The sum ends where the majorant
+    v_{m+1} = v_m |p+m|/(cx) + |h_{m+1}| of |u_{m+1}| drops below 1e-17 of
+    it, or at the smallest v_m once they decay.  The estimate, that v_m
+    plus twice the head bound plus rounding, must meet QUAD_REL_TOL.
+    """
+    gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
+    mu, p, cx = nu + n, nu + 0.5, (1.0 - gamma) * x
+    if mu < -0.5 or x < 4.0 * mu + 6.0:
+        return None
+    log_x = math.log(x)
+    gap = ((mu + 1.5) * log_x - (mu + n + 0.5) * math.log(2.0)
+           - log_gamma(mu + 1.5) - 0.5 * cx)
+    if gap > -41.0:
+        return None
+    total, u, v, h, armed = 0.0, 1.0, 1.0, 1.0, False
+    for m in range(_EXPANSION_MAX_TERMS):
+        h *= -(4.0 * mu * mu - (2 * m + 1) ** 2) / (8.0 * (m + 1) * x)
+        u_next = u * (p + m) / cx + h
+        v_next = v * abs(p + m) / cx + abs(h)
+        if armed and v_next >= v:
+            break
+        armed = armed or v_next < v
+        total += u
+        u, v = u_next, v_next
+        if v <= 1e-17 * abs(total):
+            break
+    else:
+        return None
+    log_lead = log_asymptotic_integral(spec, offset) + _damping_residual(gamma, x, offset)
+    lead = math.exp(log_lead)
+    value = lead * total
+    # two units of roundoff per unit of each log term and per summed term
+    rounding = 4.5e-16 * (abs(p) * log_x + abs(log_lead) + m + 2.0)
+    err = lead * (v + rounding) + 2.0 * math.exp(log_lead + gap)
+    if not err <= QUAD_REL_TOL * value:
+        return None
+    return value, err, 0, offset
+
+
+def _damping_residual(gamma: float, x: float, offset: float) -> float:
+    # x - gamma x - offset for offset = fl((1-gamma) x), exact before one
+    # rounding: Dekker's product on Veltkamp's split (no math.fma before
+    # Python 3.13) gives gamma x = prod + err, x - prod is an exact
+    # two-sum, and its difference with offset is exact by Sterbenz's lemma.
+    prod = gamma * x
+    g_hi, x_hi = (a * 134217729.0 - (a * 134217729.0 - a) for a in (gamma, x))
+    g_lo, x_lo = gamma - g_hi, x - x_hi
+    err = ((g_hi * x_hi - prod) + g_hi * x_lo + g_lo * x_hi) + g_lo * x_lo
+    diff = x - prod
+    return (diff - offset) + (((x - diff) - prod) - err)
 
 
 def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
@@ -139,7 +215,10 @@ def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
 
     The integrand is integrated in offset form
     exp(-gamma t - (1-gamma)x) t^(-nu) L_{nu+n}(t), each value one
-    weighted Struve series, and the offset is restored afterwards.
+    weighted Struve series, and the offset is restored afterwards.  At
+    large (1-gamma)x the integrated Hankel expansion (_expansion_scaled)
+    replaces the quadrature wherever its error bound meets the same
+    tolerance; such a result reports 0 subdivisions.
     """
     value, err, n, offset = _quadrature_scaled(spec)
     if offset > 709.0:
@@ -258,14 +337,14 @@ def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
     return sum_series(prev, ratio, 0.0, "integral_series_oracle", x)
 
 
-def log_asymptotic_integral(spec: IntegralSpec) -> float:
+def log_asymptotic_integral(spec: IntegralSpec, offset: float = 0.0) -> float:
     """Natural log of the leading large-x asymptote of the damped integral,
 
-        x^(-nu-1/2) exp((1-gamma)x) / (sqrt(2 pi) (1-gamma)).
+        x^(-nu-1/2) exp((1-gamma)x) / (sqrt(2 pi) (1-gamma)),
 
-    Only used by the tightness checks."""
+    less offset; the tightness checks and the large-x expansion use it."""
     return (
-        (1.0 - spec.gamma) * spec.x
+        ((1.0 - spec.gamma) * spec.x - offset)
         - (spec.nu + 0.5) * math.log(spec.x)
         - math.log(SQRT_TWO_PI * (1.0 - spec.gamma))
     )

@@ -416,6 +416,47 @@ def test_bounds_past_exp_limit_match_mpmath(case):
         assert float(abs((got - want) / want)) < 1e-12
 
 
+NEAR_DBL_MAX = {
+    "bi3": (lambda x: upper_bi3(0.0, 0.0, x), lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[1]),
+    "corollary-lower": (
+        lambda x: corollary_bounds(1.0, x)[0],
+        lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[0],
+    ),
+    "corollary-upper": (
+        lambda x: corollary_bounds(1.0, x)[1],
+        lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[1],
+    ),
+    "corollary-nu2-lower": (
+        lambda x: corollary_bounds(2.0, x)[0],
+        lambda mp, x: x * _mp_bi2_bi3(mp, 1, 0, x)[0],
+    ),
+    "corollary-nu2-upper": (
+        lambda x: corollary_bounds(2.0, x)[1],
+        lambda mp, x: x * _mp_bi2_bi3(mp, 1, 0, x)[1],
+    ),
+    "bi2": (lambda x: lower_bi2(0.0, 0.0, x), lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[0]),
+    "bi5": (lambda x: lower_bi5(1e-3, 0.0, x), lambda mp, x: _mp_bi5(mp, 1e-3, x)),
+}
+
+
+@pytest.mark.parametrize("case", list(NEAR_DBL_MAX))
+def test_bounds_near_dbl_max_are_right_or_overflow(case):
+    # from x = 712 to 716 the bounds and their terms cross DBL_MAX; bi3
+    # once returned inf at 713.5, where 2 L_1(x) is beyond it but bi3
+    # (1.1105e308) is not, and the corollary at nu = 2 from 714 on
+    mp = pytest.importorskip("mpmath")
+    call, reference = NEAR_DBL_MAX[case]
+    with mp.workdps(30):
+        for i in range(17):
+            x = 712.0 + 0.25 * i
+            try:
+                got = call(x)
+            except OverflowError:
+                continue
+            want = reference(mp, x)
+            assert float(abs((got - want) / want)) < 1e-12
+
+
 @pytest.mark.parametrize("bound", [0, 1], ids=["bi2", "bi3"])
 def test_bounds_at_tiny_x_match_mpmath(bound):
     # x^(-nu) = 1e330 alone overflows; the bounds are about x^2 = 1e-220

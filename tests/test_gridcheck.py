@@ -246,7 +246,19 @@ def test_run_verification_matches_each_check_run_alone():
 
 
 def test_run_verification_makes_one_quadrature_per_distinct_spec(monkeypatch):
+    # each distinct spec is evaluated once, by GK15 or by the large-x
+    # expansion, which returns None where it does not apply
     quadratures = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
+    expansions = []
+    expansion_scaled = integrals_mod._expansion_scaled
+
+    def counted_expansion(*args):
+        result = expansion_scaled(*args)
+        if result is not None:
+            expansions.append(args)
+        return result
+
+    monkeypatch.setattr(integrals_mod, "_expansion_scaled", counted_expansion)
     requests = [
         count_calls(monkeypatch, module, name)
         for module, name in ((gridcheck_mod, "integral_quadrature"),
@@ -258,8 +270,9 @@ def test_run_verification_makes_one_quadrature_per_distinct_spec(monkeypatch):
     specs = [args[0] for calls in requests for args in calls]
     distinct = len(set(specs))
     assert len(specs) > distinct
-    assert len(quadratures) == distinct
+    assert len(quadratures) + len(expansions) == distinct
+    assert quadratures and expansions
     # a second run on the same config object redoes the work: no cache
     # survives the run
     run_verification(config)
-    assert len(quadratures) == 2 * distinct
+    assert len(quadratures) + len(expansions) == 2 * distinct

@@ -6,6 +6,10 @@ high-precision computation.
 """
 
 import math
+import random
+import sys
+from functools import partial
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -26,7 +30,11 @@ from struveint.integrals import (
     log_integral_quadrature,
     quadrature_memo,
 )
+from struveint.quadrature import adaptive_quadrature
 from struveint.specfun import SQRT_PI, struve_l, struve_l_scaled
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.reference import integral as reference_integral  # noqa: E402
 
 
 def closed_form_brute(nu: float, x: float, terms: int = 60) -> float:
@@ -331,6 +339,71 @@ def test_companion_asymptote_at_300(gamma, nu, n):
     lhs = struve_l_scaled(nu + n, x).value * math.exp((1.0 - gamma) * x) / x**nu
     rhs = x ** (-nu - 0.5) * math.exp((1.0 - gamma) * x) / math.sqrt(2.0 * math.pi)
     assert abs(lhs / rhs - 1.0) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# large-x expansion
+
+
+def test_expansion_matches_gk15_on_the_overlap():
+    used = 0
+    for gamma in (0.0, 0.5, 0.9):
+        for nu, n in ((0.0, 0.0), (1.0, 0.5), (-0.4, 2.0), (3.0, 0.0), (0.5, 1.0)):
+            for cx in (40.0, 60.0, 80.0, 100.0, 120.0):
+                spec = IntegralSpec(gamma, nu, n, cx / (1.0 - gamma))
+                offset = (1.0 - gamma) * spec.x
+                expansion = integrals_mod._expansion_scaled(spec, offset)
+                if expansion is None:
+                    continue
+                used += 1
+                gk15, _, _ = adaptive_quadrature(
+                    partial(integrals_mod._scaled_integrand, spec, offset, None),
+                    0.0, spec.x, rel_tol=integrals_mod.QUAD_REL_TOL,
+                )
+                assert rel_err(expansion[0], gk15) < integrals_mod.QUAD_REL_TOL
+    assert used >= 15
+
+
+def expansion_reference_specs() -> list[IntegralSpec]:
+    # the default parameter ranges with (1 - gamma) x from 60 to 700,
+    # a spec whose small-t head dominates, and (at x = 100 and 300) one
+    # whose first correction cancels to 0, so that a stop at the first
+    # term growth would end the sum after one term
+    rng = random.Random(11)
+    specs = []
+    for _ in range(12):
+        gamma = 0.0 if rng.random() < 0.25 else rng.uniform(0.05, 0.95)
+        cx = 60.0 * (700.0 / 60.0) ** rng.random()
+        specs.append(IntegralSpec(gamma, rng.uniform(-0.45, 3.5), rng.uniform(0.0, 2.5),
+                                  cx / (1.0 - gamma)))
+    return specs + [IntegralSpec(0.95, 50.0, 0.0, 4000.0),
+                    IntegralSpec(0.5, 2.5, 1.0, 100.0),
+                    IntegralSpec(0.5, 2.5, 1.0, 300.0)]
+
+
+@pytest.mark.parametrize("spec", expansion_reference_specs(), ids=str)
+def test_large_x_route_matches_mpmath(spec):
+    value, err, subdivisions, offset = integrals_mod._quadrature_scaled(spec)
+    with mpmath.workdps(30):
+        want = reference_integral(spec.gamma, spec.nu, spec.n, spec.x) * mpmath.exp(-offset)
+        true_err = float(abs(value - want))
+        assert true_err <= 1e-12 * float(want)
+    if subdivisions == 0:
+        assert true_err <= err
+
+
+def test_expansion_switch():
+    # the small-t head (about Gamma(2) / 0.95^2 times the L_50 series'
+    # first coefficient) is e^31 times the expansion's leading term
+    head = IntegralSpec(0.95, 50.0, 0.0, 4000.0)
+    assert integrals_mod._expansion_scaled(head, (1.0 - 0.95) * 4000.0) is None
+    # the first correction cancels to 0; the sum must go on past it
+    trap = IntegralSpec(0.5, 2.5, 1.0, 300.0)
+    assert integrals_mod._expansion_scaled(trap, 150.0)[2] == 0
+    # at nu = n = gamma = 0 the head bound reaches e^-41 of the leading
+    # term between x = 95 (e^-40.9) and x = 96 (e^-41.4)
+    assert integrals_mod._expansion_scaled(IntegralSpec(0.0, 0.0, 0.0, 95.0), 95.0) is None
+    assert integrals_mod._expansion_scaled(IntegralSpec(0.0, 0.0, 0.0, 96.0), 96.0) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,12 @@ def test_budget_exhaustion_carries_best_estimate():
     assert exc.subdivisions == 3
     assert rel_err(exc.value, 1.0 / 1.05) < 1e-3
     assert exc.abs_error_estimate > 0.0
+    # on an interval one double wide, the nodes round to 1 and to the
+    # double below it, so a jump of 1e300 at 1 is never resolved and
+    # the interval cannot be bisected
+    with pytest.raises(ToleranceNotMetError, match="too narrow") as info:
+        adaptive_quadrature(
+            lambda t: 1e300 if t >= 1.0 else 0.0, 1.0, math.nextafter(1.0, 2.0)
+        )
+    assert info.value.subdivisions == 0
+    assert info.value.abs_error_estimate > 1e-12 * abs(info.value.value)

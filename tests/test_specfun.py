@@ -13,6 +13,7 @@ import mpmath
 import pytest
 from scipy.special import modstruve
 
+import struveint.specfun as specfun_mod
 from conftest import log_grid, rel_err
 from struveint.exceptions import ConvergenceError, DomainError
 from struveint.integrals import IntegralSpec, integral_power_series
@@ -132,10 +133,14 @@ def test_incgamma_matches_mpmath(s, z):
     assert rel_err(gamma_low(s, z), want) < 1e-12
 
 
-def test_incgamma_series_non_convergence_raises():
+def test_incgamma_series_non_convergence_raises(monkeypatch):
     # gamma_low(1e9, 1e9 - 1) is finite, but its series needs ~3e5 terms
     with pytest.raises(ConvergenceError):
         log_lower_incomplete_gamma(1e9, 1e9 - 1.0)
+    # z >= s + 1 takes the continued fraction, here cut to one iteration
+    monkeypatch.setattr(specfun_mod, "_INCGAMMA_CAP", 2)
+    with pytest.raises(ConvergenceError, match="continued fraction"):
+        log_lower_incomplete_gamma(2.0, 5.0)
 
 
 def test_incgamma_domain():

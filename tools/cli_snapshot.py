@@ -11,7 +11,8 @@ script) on:
   integrals underflow to 0;
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
-  x = 705 and 720 (either side of where L_0 leaves binary64), and
+  x = 705 and 720 (either side of where L_0 leaves binary64), ``eval
+  integral`` at x = 300 (evaluated by the large-x expansion), and
   ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
@@ -46,6 +47,8 @@ README_EXAMPLES = {
     "eval-struve-l-scaled": ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"],
     "eval-integral": ["eval", "integral", "--gamma", "0.5", "--nu", "0", "--n", "0",
                       "--x", "1", "--format", "json"],
+    "eval-integral-300": ["eval", "integral", "--gamma", "0.5", "--nu", "1", "--n", "0",
+                          "--x", "300"],
     "dconst": ["dconst", "--nu", "0", "--n", "0"],
     "version": ["--version"],
 }
