@@ -274,7 +274,7 @@ def _power_series(nu: float, n: float, x: float, offset: float) -> SeriesEval:
     # exp(-offset) times the undamped integral; offset is 0 or x.
     _check_undamped_args(nu, n, x)
     if x == 0.0:
-        return SeriesEval(0.0, 0.0, 0, True)
+        return SeriesEval(0.0, 0.0, 0)
     log_first = (
         (nu + n + 1.0) * math.log(0.5)
         + (n + 2.0) * math.log(x)

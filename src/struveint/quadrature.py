@@ -56,8 +56,9 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     fv2 = [0.0] * 7
     for j in range(7):
         dx = half * _XGK[j]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
+        # clamped: on a panel a few doubles wide the nodes round outside it
+        f1 = f(center - dx if center - dx > a else a)
+        f2 = f(center + dx if center + dx < b else b)
         fv1[j] = f1
         fv2[j] = f2
         resk += _WGK[j] * (f1 + f2)

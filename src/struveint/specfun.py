@@ -3,10 +3,11 @@
 Gamma and log-gamma (the stdlib's, behind domain checks), the lower
 incomplete gamma function in log form, generalized hypergeometric
 series, and the modified Struve function of the first kind L_nu in
-plain, exponentially scaled and weighted form.  One kernel, sum_series,
-sums every power series, sets its term cap and raises ConvergenceError
-(cap run out) or OverflowError (sum beyond binary64).  Everything here
-is a pure function of its arguments; there is no shared mutable state.
+plain, exponentially scaled and weighted form (past x = 30 from its
+large-x expansions where they converge).  One kernel, sum_series, sums
+every power series, sets its term cap and raises ConvergenceError (cap
+run out) or OverflowError (sum beyond binary64).  Everything here is a
+pure function of its arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ DEFAULT_MAX_TERMS = 600
 #: Stop summing once |term| <= REL_TERM_TOL * |partial sum| twice in a row.
 REL_TERM_TOL = 1e-16
 
-#: Past this argument the term cap of a series in x grows with x.
+#: Past this argument L_nu tries its large-x expansions and series caps grow.
 SCALED_SWITCH_X = 30.0
 
 #: Term and iteration cap of the incomplete gamma series and fraction.
@@ -43,6 +44,7 @@ _LN2 = math.log(2.0)
 # Cody-Waite split of ln 2: bits * _LN2_HI is exact for |bits| < 2**21.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+_EPS = math.ulp(1.0)
 
 
 def term_cap() -> int:
@@ -57,13 +59,11 @@ def term_cap() -> int:
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """A summed series value with its error estimate and term count;
-    converged is always True (sum_series raises otherwise)."""
+    """A summed series value with its error estimate and term count."""
 
     value: float
     abs_error_estimate: float
     terms_used: int
-    converged: bool
 
 
 def gamma_fn(x: float) -> float:
@@ -102,8 +102,8 @@ def sum_series(
     Stops after two consecutive terms below REL_TERM_TOL relative to the
     partial sum.  The stop test only arms once |ratio| < 1, so series
     whose terms grow before decaying are handled correctly.  The error
-    estimate 2*|last term| is safe because past that point the terms
-    decay at least geometrically.
+    estimate is 2*|last term| (past it the terms decay geometrically) plus
+    (terms + 1) eps |sum| of rounding; |sum| = sum |t_k| for positive terms.
 
     At most max_terms terms are taken (term_cap() when None).  A series
     in x needs ~x/2 terms before its terms even start decaying, so past
@@ -136,8 +136,8 @@ def sum_series(
                     value = math.ldexp(total, bits)
                 except OverflowError:
                     raise OverflowError(f"{name} overflows binary64") from None
-                err = math.ldexp(2.0 * abs(term), bits)
-                return SeriesEval(value, err, k + 2, True)
+                err = math.ldexp(2.0 * abs(term) + (k + 3) * _EPS * abs(total), bits)
+                return SeriesEval(value, err, k + 2)
         else:
             small = 0
             if not -_RESCALE < total < _RESCALE:
@@ -175,7 +175,7 @@ def pfq(
     b = [float(v) for v in denominator_params]
     _check_pfq_params(a, b, z)
     if z == 0.0:
-        return SeriesEval(1.0, 0.0, 1, True)
+        return SeriesEval(1.0, 0.0, 1)
 
     def ratio(k: int) -> float:
         num = 1.0
@@ -190,8 +190,7 @@ def pfq(
 
 
 def struve_l(nu: float, x: float) -> SeriesEval:
-    """Modified Struve function of the first kind, L_nu(x), from its
-    defining power series.
+    """Modified Struve function of the first kind, L_nu(x).
 
     Restricted to nu > -3/2 (where the function is positive for x > 0).
     Raises OverflowError when L_nu(x) itself is beyond binary64 (x a
@@ -203,9 +202,8 @@ def struve_l(nu: float, x: float) -> SeriesEval:
 def struve_l_scaled(nu: float, x: float) -> SeriesEval:
     """Exponentially scaled modified Struve function, exp(-x) * L_nu(x).
 
-    The same power series as struve_l with the exp(-x) folded into its
-    first term; the summation kernel's running exponent keeps it finite
-    for x well past 1e4.
+    struve_l with the exp(-x) folded into its exponent, so it stays
+    finite for x well past 1e4.
     """
     return struve_l_weighted(nu, x, 0.0, 0.0, x)
 
@@ -214,11 +212,12 @@ def struve_l_weighted(
     mu: float, x: float, power: float, log_weight: float, offset: float,
     max_terms: int | None = None,
 ) -> SeriesEval:
-    """x^power * exp(log_weight - offset) * L_mu(x) from the defining
-    power series.
+    """x^power * exp(log_weight - offset) * L_mu(x): past SCALED_SWITCH_X
+    from _struve_asymptotic where it converges, else the power series.
 
-    The weight goes into the log of the first term, one exactly rounded
-    sum, so no factor of the product is formed alone:
+    The weight goes into the log of the first term (or of the
+    expansion's prefactor), one exactly rounded sum, so no factor of the
+    product is formed alone:
     exp(-gamma x) x^(-nu) L_mu(x) stays accurate where x^(-nu), exp(x)
     or L_mu(x) would leave binary64 by itself.  Pass offset = x (exact)
     for large x; the kernel reduces it exactly.  Raises OverflowError
@@ -229,7 +228,13 @@ def struve_l_weighted(
     if not 0.0 <= x < math.inf:
         raise DomainError(f"struve_l requires finite x >= 0, got x={x}")
     if x == 0.0:
-        return SeriesEval(0.0, 0.0, 0, True)
+        return SeriesEval(0.0, 0.0, 0)
+    plain = "struve_l_scaled" if offset else "struve_l"
+    name = "struve_l_weighted" if power or log_weight else plain
+    if x > SCALED_SWITCH_X:
+        out = _struve_asymptotic(mu, x, power, log_weight, offset, name)
+        if out is not None:
+            return out
     h = 0.5 * x
     h2 = h * h
 
@@ -240,9 +245,63 @@ def struve_l_weighted(
         (mu + 1.0) * math.log(h), power * math.log(x), log_weight,
         -log_gamma(1.5), -log_gamma(mu + 1.5),
     ))
-    plain = "struve_l_scaled" if offset else "struve_l"
-    name = "struve_l_weighted" if power or log_weight else plain
     return sum_series(log_first, ratio, offset, name, x, max_terms)
+
+
+def _struve_asymptotic(
+    mu: float, x: float, power: float, log_weight: float, offset: float, name: str
+) -> SeriesEval | None:
+    """x^power exp(log_weight - offset) L_mu(x) as I_mu + M_mu, or None.
+
+    I_mu = e^x/sqrt(2 pi x) sum (-1)^k a_k(mu)/x^k (DLMF 10.40.1, less an
+    e^-x part); M_mu = sum m_k, m_0 = -(x/2)^(mu-1)/(sqrt(pi) Gamma(mu+1/2))
+    (DLMF 11.2.6, 11.6.2).  Each sum must reach, within 40 terms, a term
+    below 1e-17 of the value after a ratio below 1 (later Hankel ratios
+    stay below 1 to k = 2x - 1), and the Hankel terms' absolute sum must be
+    at most 16 times their sum.  Estimate: the first left-out terms, doubled
+    except for M_mu after <= mu - 1/2 terms (DLMF 11.5.4), plus rounding.
+    """
+    lx, four_mu2, eight_x = math.log(x), 4.0 * mu * mu, 8.0 * x
+    hsum = habs = h = 1.0
+    for k in range(40):
+        q = ((2 * k + 1) ** 2 - four_mu2) / (eight_x * (k + 1))
+        h *= q
+        if abs(q) < 1.0 and abs(h) <= 1e-17 * abs(hsum):
+            break
+        hsum += h
+        habs += abs(h)
+    else:
+        return None
+    if habs > 16.0 * abs(hsum):
+        return None
+    terms = k + 1
+    # 2^bits scale = x^power e^(x - offset + log_weight)/sqrt(2 pi x), log summed exactly
+    parts = [x, -offset, log_weight, power * lx, -0.5 * math.log(2.0 * math.pi * x)]
+    bits = round(sum(parts) / _LN2)
+    scale = math.exp(math.fsum(parts + [-bits * _LN2_HI, -bits * _LN2_LO]))
+    total, trunc, mabs = scale * hsum, 2.0 * scale * abs(h), 0.0
+    if mu != -0.5:  # else 1/Gamma(mu+1/2) = 0: M_mu is exponentially small
+        # m_0 / (2^bits scale) = -(x/2)^(mu-1) sqrt(2x) e^-x / Gamma(mu+1/2)
+        m = math.copysign(scale * math.exp((mu - 0.5) * lx - (mu - 1.5) * _LN2 - x
+                                           - math.lgamma(mu + 0.5)), -0.5 - mu)
+        for k in range(40):
+            q = (k + 0.5) * (k + 0.5 - mu) * 4.0 / (x * x)
+            total += m
+            mabs += abs(m)
+            m *= q
+            if abs(q) < 1.0 and abs(m) <= 1e-17 * abs(total):
+                break
+        else:
+            return None
+        terms += k + 1
+        trunc += (1.0 if k + 1 <= mu - 0.5 else 2.0) * abs(m)
+    # one rounding per term summed, and those of the logarithms in scale
+    err = trunc + _EPS * ((terms + 1) * (scale * habs + mabs)
+                          + (abs(power * lx) + lx) * abs(total))
+    try:
+        return SeriesEval(math.ldexp(total, bits), math.ldexp(err, bits), terms)
+    except OverflowError:
+        raise OverflowError(f"{name} overflows binary64") from None
 
 
 def _log_gser(s: float, z: float) -> float:

@@ -88,6 +88,8 @@ def test_unused_functions_stay_removed(module, name):
         ("integrals", "integral_power_series", "max_terms"),
         ("integrals", "integral_power_series_scaled", "max_terms"),
         ("integrals", "integral_series_oracle", "max_terms"),
+        # sum_series raises instead of returning an unconverged value.
+        ("specfun", "SeriesEval", "converged"),
     ],
 )
 def test_removed_parameters_stay_removed(module, name, parameter):

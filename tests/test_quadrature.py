@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import struveint.quadrature as quadrature_mod
 from conftest import rel_err
 from struveint.exceptions import ToleranceNotMetError
 from struveint.quadrature import _gk15, adaptive_quadrature
@@ -59,12 +60,28 @@ def test_budget_exhaustion_carries_best_estimate():
     assert exc.subdivisions == 3
     assert rel_err(exc.value, 1.0 / 1.05) < 1e-3
     assert exc.abs_error_estimate > 0.0
-    # on an interval one double wide, the nodes round to 1 and to the
-    # double below it, so a jump of 1e300 at 1 is never resolved and
-    # the interval cannot be bisected
+    # an interval one double wide cannot be bisected; all its nodes round
+    # to one point, so only a tolerance below the panel's rounding floor
+    # (50 eps of its absolute integral) asks for a split
     with pytest.raises(ToleranceNotMetError, match="too narrow") as info:
         adaptive_quadrature(
-            lambda t: 1e300 if t >= 1.0 else 0.0, 1.0, math.nextafter(1.0, 2.0)
+            lambda t: 1.0, 1.0, math.nextafter(1.0, 2.0), rel_tol=1e-15
         )
     assert info.value.subdivisions == 0
-    assert info.value.abs_error_estimate > 1e-12 * abs(info.value.value)
+    assert info.value.abs_error_estimate > 1e-15 * abs(info.value.value)
+
+
+def test_panel_nodes_stay_inside_the_interval():
+    # center - half*x_k rounds to the double below 1 on this interval
+    a, b = 1.0, math.nextafter(1.0, 2.0)
+    nodes = []
+    _gk15(lambda t: nodes.append(t) or 1.0, a, b)
+    assert len(nodes) == 15
+    assert all(a <= t <= b for t in nodes)
+    # on a wider panel the nodes are the unclamped center -/+ half*x_k
+    nodes.clear()
+    a, b = 0.3, 2.7
+    _gk15(lambda t: nodes.append(t) or 1.0, a, b)
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    raw = [center + s * (half * x) for x in quadrature_mod._XGK for s in (-1, 1)]
+    assert nodes == [center, *raw]

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import modstruve
 
 import struveint.specfun as specfun_mod
-from conftest import log_grid, rel_err
+from conftest import count_calls, log_grid, rel_err
 from struveint.exceptions import ConvergenceError, DomainError
 from struveint.integrals import IntegralSpec, integral_power_series
 from struveint.specfun import (
@@ -156,7 +156,7 @@ def test_incgamma_domain():
 
 def test_pfq_at_zero_is_one():
     out = pfq([1.0, 2.0], [3.0, 4.0, 5.0], 0.0)
-    assert out.value == 1.0 and out.converged
+    assert out.value == 1.0
 
 
 def test_pfq_0f0_is_exp():
@@ -167,7 +167,6 @@ def test_pfq_2f3_matches_brute_force():
     want = pfq_brute([1.0, 1.0], [1.5, 2.0, 1.5], 0.25)
     got = pfq([1.0, 1.0], [1.5, 2.0, 1.5], 0.25)
     assert rel_err(got.value, want) < 1e-14
-    assert got.converged
     # independently pinned: direct partial summation gives 1.0570599382...
     assert rel_err(got.value, 1.0570599382821575) < 1e-13
 
@@ -178,7 +177,7 @@ def test_pfq_denominator_validation():
     with pytest.raises(DomainError):
         pfq([1.0], [-3.0, 2.0], 0.5)
     # negative non-integer denominators are fine
-    assert pfq([1.0], [-0.5], 0.1).converged
+    pfq([1.0], [-0.5], 0.1)
 
 
 def test_pfq_p_eq_q_plus_one_radius():
@@ -186,7 +185,7 @@ def test_pfq_p_eq_q_plus_one_radius():
         pfq([1.0, 2.0], [3.0], 1.0)
     with pytest.raises(DomainError):
         pfq([1.0, 2.0, 3.0], [4.0], 0.5)  # p > q+1 never converges
-    assert pfq([1.0, 2.0], [3.0], 0.5).converged
+    pfq([1.0, 2.0], [3.0], 0.5)
 
 
 def test_pfq_non_convergence_error(monkeypatch):
@@ -207,7 +206,7 @@ def test_pfq_series_eval_invariants():
 
 def test_struve_at_zero():
     out = struve_l(0.7, 0.0)
-    assert out.value == 0.0 and out.converged
+    assert out.value == 0.0
 
 
 def test_struve_l0_matches_brute_series():
@@ -280,7 +279,7 @@ def test_overflow_names_the_series(call, name):
 
 def test_struve_series_metadata():
     out = struve_l(0.0, 1.0)
-    assert out.converged and out.terms_used <= DEFAULT_MAX_TERMS
+    assert out.terms_used <= DEFAULT_MAX_TERMS
     assert out.abs_error_estimate <= 1e-12 * out.value
 
 
@@ -347,6 +346,60 @@ def test_weighted_matches_mpmath_on_a_seeded_sample():
         mx = mpmath.mpf(x)
         want = mx**power * mpmath.exp(mpmath.mpf(w) - mx) * mpmath.struvel(mu, mx)
         assert float(abs((got - want) / want)) <= 2e-13, (gamma, mu, power, x)
+    assert time.perf_counter() - start <= 2.0
+
+
+def _route_cases():
+    # (mu, x, power, log_weight, offset): a seeded sample of the three
+    # forms the package uses (scaled; the quadrature integrand
+    # exp((1-gamma)t - offset - t) t^-nu L_mu(t); a bound's Struve
+    # factor), then the edges: half-integer mu, mu + 1/2 in (-1, 0),
+    # either side of x = 30, and plain L_0 just below the binary64 limit
+    # (test_overflow_names_the_series has L_0(720) beyond it).
+    rng = random.Random("struve_l large-x route")
+    cases = []
+    for i in range(90):
+        mu = rng.uniform(-1.499, 10.0)
+        x = math.exp(rng.uniform(math.log(30.0), math.log(1e4)))
+        gamma = rng.uniform(0.0, 0.9)
+        nu = rng.uniform(-1.4, min(mu + 1.0, 3.5))
+        if i % 3 == 0:
+            cases.append((mu, x, 0.0, 0.0, x))
+        elif i % 3 == 1:
+            # node t = x of a quadrature whose offset (1-gamma) x_upper
+            # exceeds (1-gamma) t by up to 600
+            offset = (1.0 - gamma) * x + rng.uniform(0.0, 600.0)
+            cases.append((mu, x, -nu, (1.0 - gamma) * x - offset, x))
+        else:
+            x = min(x, 700.0 / (1.0 - gamma))
+            cases.append((mu, x, -nu, (1.0 - gamma) * x, x))
+    for mu in (-0.5, 0.5, 1.5, 2.5, 5.5, 9.5, -1.4, -1.0, -0.7):
+        cases += [(mu, x, 0.0, 0.0, x) for x in (31.0, 300.0, 5000.0)]
+    for x in (29.9, 30.0, math.nextafter(30.0, 31.0), 30.1):
+        cases += [(mu, x, 0.0, 0.0, x) for mu in (-1.2, 0.0, 2.5, 7.0)]
+    return cases + [(0.0, 701.0, 0.0, 0.0, 0.0), (0.0, 705.0, 0.0, 0.0, 0.0)]
+
+
+def test_large_x_route_matches_mpmath(monkeypatch):
+    start = time.perf_counter()
+    route_fn = specfun_mod._struve_asymptotic
+    tried = count_calls(monkeypatch, specfun_mod, "_struve_asymptotic")
+    taken = 0
+    for mu, x, power, log_weight, offset in _route_cases():
+        got = struve_l_weighted(mu, x, power, log_weight, offset)
+        assert bool(tried) == (x > 30.0)
+        tried.clear()
+        route = route_fn(mu, x, power, log_weight, offset, "")
+        if x > 30.0 and route is not None:
+            assert route == got
+            taken += 1
+        mx = mpmath.mpf(x)
+        want = mx**power * mpmath.exp(mpmath.mpf(log_weight) - offset) * mpmath.struvel(mu, mx)
+        err = float(abs(got.value - want))
+        case = (mu, x, power, log_weight, offset)
+        assert err <= 1e-14 * float(want), case
+        assert err <= got.abs_error_estimate, case
+    assert taken >= 110
     assert time.perf_counter() - start <= 2.0
 
 

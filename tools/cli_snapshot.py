@@ -12,7 +12,8 @@ script) on:
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
   x = 705 and 720 (either side of where L_0 leaves binary64), ``eval
-  integral`` at x = 300 (evaluated by the large-x expansion), and
+  struve-l-scaled`` at (nu, x) = (10, 1e4) and (-1.4, 35), ``eval
+  integral`` at x = 300 (each of these from a large-x expansion), and
   ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
@@ -45,6 +46,8 @@ README_EXAMPLES = {
     "eval-struve-l-705": ["eval", "struve-l", "--nu", "0", "--x", "705"],
     "eval-struve-l-720": ["eval", "struve-l", "--nu", "0", "--x", "720"],
     "eval-struve-l-scaled": ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"],
+    "eval-struve-l-scaled-1e4": ["eval", "struve-l-scaled", "--nu", "10", "--x", "10000"],
+    "eval-struve-l-scaled-35": ["eval", "struve-l-scaled", "--nu", "-1.4", "--x", "35"],
     "eval-integral": ["eval", "integral", "--gamma", "0.5", "--nu", "0", "--n", "0",
                       "--x", "1", "--format", "json"],
     "eval-integral-300": ["eval", "integral", "--gamma", "0.5", "--nu", "1", "--n", "0",
