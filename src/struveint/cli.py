@@ -7,8 +7,7 @@ Subcommands:
   verify  run the inequality-verification grid and report per check
 
 Output is deterministic (fixed field order and formatting); CSV uses
-RFC-4180-style quoting, JSON fixed key order.  The environment variable
-STRUVE_MAX_TERMS overrides the series term cap (default 600).
+RFC-4180-style quoting, JSON fixed key order.
 """
 
 from __future__ import annotations

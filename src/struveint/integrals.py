@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from . import specfun
 from .exceptions import DomainError
 from .quadrature import adaptive_quadrature
 from .specfun import (
@@ -82,19 +81,17 @@ def integrand(spec: IntegralSpec, t: float) -> float:
     """exp(-gamma t) t^(-nu) L_{nu+n}(t), with the t = 0 limit value 0."""
     if t < 0.0:
         raise DomainError(f"integrand requires t >= 0, got t={t}")
-    return _scaled_integrand(spec, 0.0, None, t)
+    return _scaled_integrand(spec, 0.0, t)
 
 
-def _scaled_integrand(
-    spec: IntegralSpec, offset: float, max_terms: int | None, t: float
-) -> float:
+def _scaled_integrand(spec: IntegralSpec, offset: float, t: float) -> float:
     # exp(-offset) * integrand(t) in one weighted series: no factor is
     # formed alone, so none overflows or underflows before the others
     # multiply it.
     if t == 0.0:
         return 0.0
     return struve_l_weighted(
-        spec.nu + spec.n, t, -spec.nu, (1.0 - spec.gamma) * t - offset, t, max_terms
+        spec.nu + spec.n, t, -spec.nu, (1.0 - spec.gamma) * t - offset, t
     ).value
 
 
@@ -118,8 +115,7 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     applies and by adaptive quadrature otherwise.
 
     Returns (scaled value, scaled error, subdivisions, log offset) with
-    true integral = exp(offset) * scaled value.  The series term cap is
-    read once, when a quadrature starts.
+    true integral = exp(offset) * scaled value.
     """
     memo = _MEMO.get()
     if memo is not None and spec in memo:
@@ -127,9 +123,8 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     offset = (1.0 - spec.gamma) * spec.x
     result = _expansion_scaled(spec, offset)
     if result is None:
-        max_terms = specfun.term_cap()
         value, err, n = adaptive_quadrature(
-            lambda t: _scaled_integrand(spec, offset, max_terms, t),
+            lambda t: _scaled_integrand(spec, offset, t),
             0.0,
             spec.x,
             rel_tol=QUAD_REL_TOL,

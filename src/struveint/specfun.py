@@ -13,7 +13,6 @@ pure function of its arguments; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,13 +21,10 @@ from .exceptions import ConvergenceError, DomainError
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-#: Default cap on series terms; STRUVE_MAX_TERMS overrides it.
-DEFAULT_MAX_TERMS = 600
-
 #: Stop summing once |term| <= REL_TERM_TOL * |partial sum| twice in a row.
 REL_TERM_TOL = 1e-16
 
-#: Past this argument L_nu tries its large-x expansions and series caps grow.
+#: Past this argument L_nu tries its large-x expansions.
 SCALED_SWITCH_X = 30.0
 
 #: Term and iteration cap of the incomplete gamma series and fraction.
@@ -45,16 +41,6 @@ _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _EPS = math.ulp(1.0)
-
-
-def term_cap() -> int:
-    """Configured series term cap (STRUVE_MAX_TERMS, default 600)."""
-    raw = os.environ.get("STRUVE_MAX_TERMS")
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    if not raw.strip().isdecimal() or int(raw) <= 0:
-        raise DomainError(f"STRUVE_MAX_TERMS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -105,15 +91,13 @@ def sum_series(
     estimate is 2*|last term| (past it the terms decay geometrically) plus
     (terms + 1) eps |sum| of rounding; |sum| = sum |t_k| for positive terms.
 
-    At most max_terms terms are taken (term_cap() when None).  A series
-    in x needs ~x/2 terms before its terms even start decaying, so past
-    SCALED_SWITCH_X the cap grows to x/2 + 12 sqrt(x) + 80.  Raises
-    ConvergenceError when the cap runs out and OverflowError when the
-    sum is beyond binary64, each naming the series.
+    A series in x needs ~x/2 terms before its terms even start decaying,
+    so at most max(600, x/2 + 12 sqrt(x) + 80) terms are taken, or
+    max_terms where a caller passes its own.  Raises ConvergenceError
+    when the cap runs out and OverflowError when the sum is beyond
+    binary64, each naming the series.
     """
-    cap = max_terms if max_terms is not None else term_cap()
-    if x > SCALED_SWITCH_X:
-        cap = max(cap, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
+    cap = max_terms or max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
     c = log_first - offset
     bits = 0
     if not -_LOG_RANGE <= c <= _LOG_RANGE:
@@ -209,8 +193,7 @@ def struve_l_scaled(nu: float, x: float) -> SeriesEval:
 
 
 def struve_l_weighted(
-    mu: float, x: float, power: float, log_weight: float, offset: float,
-    max_terms: int | None = None,
+    mu: float, x: float, power: float, log_weight: float, offset: float
 ) -> SeriesEval:
     """x^power * exp(log_weight - offset) * L_mu(x): past SCALED_SWITCH_X
     from _struve_asymptotic where it converges, else the power series.
@@ -245,7 +228,7 @@ def struve_l_weighted(
         (mu + 1.0) * math.log(h), power * math.log(x), log_weight,
         -log_gamma(1.5), -log_gamma(mu + 1.5),
     ))
-    return sum_series(log_first, ratio, offset, name, x, max_terms)
+    return sum_series(log_first, ratio, offset, name, x)
 
 
 def _struve_asymptotic(

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from struveint.bounds import _d_constant_cached
 from struveint.cli import cli
 
 
@@ -269,24 +270,30 @@ def test_verify_skips_zero_references(runner, tmp_path):
         assert checks[name]["status"] == "pass"
 
 
-_BAD_CAP_COMMANDS = {
+_IGNORED_VARIABLE_COMMANDS = {
     "eval": ["eval", "struve-l", "--nu", "0", "--x", "1"],
-    # d_constant is memoized per (nu, n): no other test uses nu = 0.123, so
-    # every invocation reads the cap.
     "dconst": ["dconst", "--nu", "0.123"],
     "table": ["table", "table1"],
-    "verify": ["verify"],
+    "verify": ["verify", "--config"],
 }
 
 
-@pytest.mark.parametrize(
-    "cap,command",
-    [(cap, command) for cap in ("abc", "0") for command in _BAD_CAP_COMMANDS]
-    + [("5", "dconst"), ("5", "table")],
-)
-def test_bad_term_cap_exits_cleanly(cap, command):
-    runner = CliRunner(env={"STRUVE_MAX_TERMS": cap})
-    result = runner.invoke(cli, _BAD_CAP_COMMANDS[command])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)
-    assert result.stderr.startswith("error: ")
+@pytest.mark.parametrize("command", list(_IGNORED_VARIABLE_COMMANDS))
+@pytest.mark.parametrize("value", ["abc", "0", "5"])
+def test_term_cap_variable_is_ignored(value, command, tmp_path):
+    # STRUVE_MAX_TERMS once set the series term cap; the cap now follows
+    # from x alone, and the variable changes nothing, valid or not.
+    args = list(_IGNORED_VARIABLE_COMMANDS[command])
+    if command == "verify":
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"nu_values": [0.0], "n_values": [0.0, 0.5],
+                                      "gamma_values": [0.5], "x_values": [1.0, 20.0]}))
+        args.append(str(config))
+    # d_constant is memoized per (nu, n); the run with the variable set
+    # must do its own D scans
+    _d_constant_cached.cache_clear()
+    with_variable = CliRunner(env={"STRUVE_MAX_TERMS": value}).invoke(cli, args)
+    without = CliRunner(env={"STRUVE_MAX_TERMS": None}).invoke(cli, args)
+    assert not with_variable.stderr.startswith("error: ")
+    assert with_variable.stdout == without.stdout
+    assert with_variable.exit_code == without.exit_code

@@ -272,7 +272,8 @@ def test_oracle_requires_damping():
 
 
 def test_oracle_non_convergence(monkeypatch):
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "4")
+    monkeypatch.setattr(integrals_mod, "sum_series",
+                        partial(specfun_mod.sum_series, max_terms=4))
     spec = IntegralSpec(0.5, 0.0, 0.0, 20.0)
     with pytest.raises(ConvergenceError):
         integral_series_oracle(spec)
@@ -280,7 +281,8 @@ def test_oracle_non_convergence(monkeypatch):
 
 @pytest.mark.parametrize("fn", [integral_power_series, integral_power_series_scaled])
 def test_power_series_non_convergence(fn, monkeypatch):
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "4")
+    monkeypatch.setattr(integrals_mod, "sum_series",
+                        partial(specfun_mod.sum_series, max_terms=4))
     with pytest.raises(ConvergenceError):
         fn(0.0, 0.5, 20.0)
 
@@ -357,7 +359,7 @@ def test_expansion_matches_gk15_on_the_overlap():
                     continue
                 used += 1
                 gk15, _, _ = adaptive_quadrature(
-                    partial(integrals_mod._scaled_integrand, spec, offset, None),
+                    partial(integrals_mod._scaled_integrand, spec, offset),
                     0.0, spec.x, rel_tol=integrals_mod.QUAD_REL_TOL,
                 )
                 assert rel_err(expansion[0], gk15) < integrals_mod.QUAD_REL_TOL
@@ -419,21 +421,6 @@ def test_integral_increases_in_x(gamma, nu, n):
 
 # ---------------------------------------------------------------------------
 # work per quadrature
-
-
-@pytest.mark.parametrize("evaluate", [integral_quadrature, log_integral_quadrature])
-def test_quadrature_reads_term_cap_once(monkeypatch, evaluate):
-    reads = count_calls(monkeypatch, specfun_mod, "term_cap")
-    quadratures = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
-    evaluate(IntegralSpec(0.5, 1.0, 0.0, 20.0))
-    assert len(quadratures) == 1
-    assert len(reads) == 1
-
-
-def test_term_cap_set_after_import_reaches_quadrature(monkeypatch):
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "2")
-    with pytest.raises(ConvergenceError):
-        integral_quadrature(IntegralSpec(0.0, 0.0, 0.0, 1.0))
 
 
 def test_quadrature_memo_shares_entries_and_drops_them_on_exit(monkeypatch):

@@ -66,6 +66,9 @@ def test_all_lists_exactly_the_public_names():
         ("specfun", "regularized_gamma_p"),
         ("specfun", "lower_incomplete_gamma"),
         ("integrals", "asymptotic_integral"),
+        # the STRUVE_MAX_TERMS knob: the series term cap follows from x
+        ("specfun", "term_cap"),
+        ("specfun", "DEFAULT_MAX_TERMS"),
     ],
 )
 def test_unused_functions_stay_removed(module, name):
@@ -81,10 +84,11 @@ def test_unused_functions_stay_removed(module, name):
         ("bounds", "upper_bi8", "d"),
         ("bounds", "bound_report", "d"),
         ("bounds", "BoundReport", "rel_errors"),
-        # STRUVE_MAX_TERMS is the one series term cap.
+        # sum_series derives the one series term cap from x.
         ("specfun", "pfq", "max_terms"),
         ("specfun", "struve_l", "max_terms"),
         ("specfun", "struve_l_scaled", "max_terms"),
+        ("specfun", "struve_l_weighted", "max_terms"),
         ("integrals", "integral_power_series", "max_terms"),
         ("integrals", "integral_power_series_scaled", "max_terms"),
         ("integrals", "integral_series_oracle", "max_terms"),

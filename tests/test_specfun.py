@@ -8,6 +8,7 @@ mpmath/scipy where available.
 import math
 import random
 import time
+from functools import partial
 
 import mpmath
 import pytest
@@ -18,7 +19,6 @@ from conftest import count_calls, log_grid, rel_err
 from struveint.exceptions import ConvergenceError, DomainError
 from struveint.integrals import IntegralSpec, integral_power_series
 from struveint.specfun import (
-    DEFAULT_MAX_TERMS,
     SQRT_PI,
     gamma_fn,
     log_gamma,
@@ -27,7 +27,6 @@ from struveint.specfun import (
     struve_l,
     struve_l_scaled,
     struve_l_weighted,
-    term_cap,
 )
 
 mpmath.mp.dps = 30
@@ -189,14 +188,15 @@ def test_pfq_p_eq_q_plus_one_radius():
 
 
 def test_pfq_non_convergence_error(monkeypatch):
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "5")
+    monkeypatch.setattr(specfun_mod, "sum_series",
+                        partial(specfun_mod.sum_series, max_terms=5))
     with pytest.raises(ConvergenceError):
         pfq([1.0, 1.0], [1.5, 2.0, 1.5], 100.0)
 
 
 def test_pfq_series_eval_invariants():
     out = pfq([1.0, 1.0], [1.5, 2.0, 1.5], 4.0)
-    assert out.terms_used <= DEFAULT_MAX_TERMS
+    assert out.terms_used <= 600
     assert out.abs_error_estimate <= 1e-12 * abs(out.value)
 
 
@@ -279,7 +279,7 @@ def test_overflow_names_the_series(call, name):
 
 def test_struve_series_metadata():
     out = struve_l(0.0, 1.0)
-    assert out.terms_used <= DEFAULT_MAX_TERMS
+    assert out.terms_used <= 600
     assert out.abs_error_estimate <= 1e-12 * out.value
 
 
@@ -489,25 +489,13 @@ def test_derivative_formula_spot(nu, x):
 
 
 # ---------------------------------------------------------------------------
-# term cap configuration
+# term cap
 
 
-def test_term_cap_environment_override(monkeypatch):
-    monkeypatch.delenv("STRUVE_MAX_TERMS", raising=False)
-    assert term_cap() == DEFAULT_MAX_TERMS
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "37")
-    assert term_cap() == 37
-    with pytest.raises(ConvergenceError):
-        struve_l(0.0, 25.0)  # 37 terms are not enough at x = 25
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "0")
-    with pytest.raises(ValueError):
-        term_cap()
-
-
-def test_plain_and_scaled_struve_share_the_cap_rule(monkeypatch):
-    # Past x = 30 both forms grow the configured cap with x the same way.
-    monkeypatch.setenv("STRUVE_MAX_TERMS", "50")
-    plain = struve_l(0.0, 100.0)
-    scaled = struve_l_scaled(0.0, 100.0)
-    assert rel_err(plain.value, math.exp(100.0) * scaled.value) <= 1e-14
-    assert plain.terms_used == scaled.terms_used
+def test_plain_and_scaled_struve_share_the_cap_rule():
+    # Past x = 30 both forms take the cap from x the same way; at nu = 10,
+    # x = 35 the large-x expansion is turned away and the series runs.
+    plain = struve_l(10.0, 35.0)
+    scaled = struve_l_scaled(10.0, 35.0)
+    assert rel_err(plain.value, math.exp(35.0) * scaled.value) <= 1e-14
+    assert plain.terms_used == scaled.terms_used == 44
