@@ -89,7 +89,9 @@ def sum_series(
     partial sum.  The stop test only arms once |ratio| < 1, so series
     whose terms grow before decaying are handled correctly.  The error
     estimate is 2*|last term| (past it the terms decay geometrically) plus
-    (terms + 1) eps |sum| of rounding; |sum| = sum |t_k| for positive terms.
+    (terms + 1 + |log_first| + |log_first - offset|) eps |sum| of rounding:
+    one unit per term, and those of the first term's exponent.  |sum| =
+    sum |t_k| for positive terms.
 
     A series in x needs ~x/2 terms before its terms even start decaying,
     so at most max(600, x/2 + 12 sqrt(x) + 80) terms are taken, or
@@ -120,7 +122,8 @@ def sum_series(
                     value = math.ldexp(total, bits)
                 except OverflowError:
                     raise OverflowError(f"{name} overflows binary64") from None
-                err = math.ldexp(2.0 * abs(term) + (k + 3) * _EPS * abs(total), bits)
+                units = k + 3 + abs(log_first) + abs(log_first - offset)
+                err = math.ldexp(2.0 * abs(term) + units * _EPS * abs(total), bits)
                 return SeriesEval(value, err, k + 2)
         else:
             small = 0

@@ -305,6 +305,15 @@ def test_power_series_past_700_matches_mpmath(x):
         assert float(abs((got - want) / want)) < 1e-13
 
 
+def test_power_series_term_cap_grows_with_x():
+    # past x ~ 500 the term cap x/2 + 12 sqrt(x) + 80 exceeds 600; this
+    # series needs more than 600 terms and converges only under the grown cap
+    out = integral_power_series_scaled(0.5, 1.0, 1200.0)
+    assert out.terms_used > 600
+    want = math.exp(log_integral_quadrature(IntegralSpec(0.0, 0.5, 1.0, 1200.0)) - 1200.0)
+    assert rel_err(out.value, want) < 1e-11
+
+
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.9])
 @pytest.mark.parametrize("nu,n", [(0.0, 0.0), (1.0, 0.5), (-0.4, 2.0), (3.0, 0.0)])
 @pytest.mark.parametrize("x", [0.5, 5.0, 20.0])

@@ -283,6 +283,22 @@ def test_struve_series_metadata():
     assert out.abs_error_estimate <= 1e-12 * out.value
 
 
+def struve_estimate_holds(nu: float, x: float) -> bool:
+    out = struve_l(nu, x)
+    return abs(mpmath.mpf(out.value) - mpmath.struvel(nu, x)) <= out.abs_error_estimate
+
+
+def test_struve_estimate_counts_the_first_term_exponent():
+    # log t_0 is about -33 here; its rounding alone is 7e-15 relative,
+    # beyond the one unit per term that the estimate once claimed
+    assert struve_estimate_holds(5.0, 0.0209)
+
+
+@pytest.mark.parametrize("nu", [-1.4, -0.5, 0.0, 1.0, 2.5, 5.0, 10.0])
+def test_struve_estimate_holds_at_small_x(nu):
+    assert all(struve_estimate_holds(nu, x) for x in log_grid(1e-4, 1.0, 13))
+
+
 # ---------------------------------------------------------------------------
 # scaled evaluation
 

@@ -11,10 +11,11 @@ script) on:
   integrals underflow to 0;
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
-  x = 705 and 720 (either side of where L_0 leaves binary64), ``eval
-  struve-l-scaled`` at (nu, x) = (10, 1e4) and (-1.4, 35), ``eval
-  integral`` at x = 300 (each of these from a large-x expansion), and
-  ``--version``.
+  x = 705 and 720 (either side of where L_0 leaves binary64) and at
+  (nu, x) = (5, 0.0209) (where the rounding of the first term's
+  exponent dominates the series estimate), ``eval struve-l-scaled`` at
+  (nu, x) = (10, 1e4) and (-1.4, 35), ``eval integral`` at x = 300
+  (these three from a large-x expansion), and ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -45,6 +46,7 @@ README_EXAMPLES = {
     "eval-struve-l": ["eval", "struve-l", "--nu", "0", "--x", "1"],
     "eval-struve-l-705": ["eval", "struve-l", "--nu", "0", "--x", "705"],
     "eval-struve-l-720": ["eval", "struve-l", "--nu", "0", "--x", "720"],
+    "eval-struve-l-small": ["eval", "struve-l", "--nu", "5", "--x", "0.0209"],
     "eval-struve-l-scaled": ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"],
     "eval-struve-l-scaled-1e4": ["eval", "struve-l-scaled", "--nu", "10", "--x", "10000"],
     "eval-struve-l-scaled-35": ["eval", "struve-l-scaled", "--nu", "-1.4", "--x", "35"],
@@ -90,7 +92,6 @@ def main(argv: list[str]) -> int:
         print(f"error: no struveint package under {src}", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("STRUVE_MAX_TERMS", None)
     for name, args in commands(outdir).items():
         proc = subprocess.run(
             [sys.executable, "-m", "struveint.cli", *args],
