@@ -99,7 +99,9 @@ def sum_series(
     when the cap runs out and OverflowError when the sum is beyond
     binary64, each naming the series.
     """
-    cap = max_terms or max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
+    # x/2 + 12 sqrt(x) + 80 stays below 600 up to x = 500: skip it there
+    cap = max_terms or (max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
+                        if x > 500.0 else 600)
     c = log_first - offset
     bits = 0
     if not -_LOG_RANGE <= c <= _LOG_RANGE:

@@ -281,8 +281,8 @@ _IGNORED_VARIABLE_COMMANDS = {
 @pytest.mark.parametrize("command", list(_IGNORED_VARIABLE_COMMANDS))
 @pytest.mark.parametrize("value", ["abc", "0", "5"])
 def test_term_cap_variable_is_ignored(value, command, tmp_path):
-    # STRUVE_MAX_TERMS once set the series term cap; the cap now follows
-    # from x alone, and the variable changes nothing, valid or not.
+    # The series term cap follows from x alone: STRUVE_MAX_TERMS, valid
+    # or not, must change no output.
     args = list(_IGNORED_VARIABLE_COMMANDS[command])
     if command == "verify":
         config = tmp_path / "grid.json"

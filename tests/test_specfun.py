@@ -289,8 +289,8 @@ def struve_estimate_holds(nu: float, x: float) -> bool:
 
 
 def test_struve_estimate_counts_the_first_term_exponent():
-    # log t_0 is about -33 here; its rounding alone is 7e-15 relative,
-    # beyond the one unit per term that the estimate once claimed
+    # log t_0 is about -33 here: its rounding, 33 eps = 7e-15 relative,
+    # outweighs the one unit of rounding per term (6 terms)
     assert struve_estimate_holds(5.0, 0.0209)
 
 
