@@ -305,7 +305,7 @@ def test_power_series_past_700_matches_mpmath(x):
         assert float(abs((got - want) / want)) < 1e-13
 
 
-def test_power_series_term_cap_grows_with_x():
+def test_power_series_cap_grows_with_x():
     # past x ~ 500 the term cap x/2 + 12 sqrt(x) + 80 exceeds 600; this
     # series needs more than 600 terms and converges only under the grown cap
     out = integral_power_series_scaled(0.5, 1.0, 1200.0)
