@@ -5,9 +5,9 @@ bi1-bi8 on the integral of exp(-gamma t) t^(-nu) L_{nu+n}(t), the
 supremum constant D that gates the damped upper bounds, and the derived
 two-sided bounds on the 2F3 expression.
 
-The bound values themselves are always assembled from series evaluations
-(closed form or termwise power series), never from quadrature, so they
-are deterministic; quadrature is reserved for cross-checking.
+The bound values are assembled from series, never from quadrature, so
+they are deterministic.  Each is formed as exp(-(1-gamma)x) times its
+value and leaves that offset form through specfun.unscale.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .specfun import (
     log_lower_incomplete_gamma,
     struve_l_scaled,
     struve_l_weighted,
+    unscale,
 )
 
 #: Grid used by the supremum scan: log-spaced points on [1e-3, 500].
@@ -109,19 +110,6 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
     return BoundCoefficients(a, b, c)
 
 
-def _struve_over_xnu(order: float, nu: float, x: float, gamma: float = 0.0) -> float:
-    """exp(-gamma x) L_order(x) / x^nu as one weighted Struve series, so
-    only a quotient beyond binary64 raises OverflowError."""
-    return struve_l_weighted(order, x, -nu, (1.0 - gamma) * x, x).value
-
-
-def _undamped_integral(nu: float, n: float, x: float) -> float:
-    # Deterministic series route for the undamped integral inside bounds.
-    if n == 0.0:
-        return integral_closed_form(nu, x)
-    return integral_power_series(nu, n, x).value
-
-
 def lower_bi1(nu: float, x: float) -> float:
     """Lower bound L_nu(x)/x^nu - x / (sqrt(pi) 2^nu Gamma(nu+3/2)) for
     the undamped n = 0 integral; tight as x grows.  By DLMF 11.4(iii) it
@@ -142,32 +130,36 @@ def _check_bi23_domain(nu: float, n: float, x: float, name: str) -> None:
         raise DomainError(f"{name} requires x > 0, got x={x}")
 
 
+def _bi2_scaled(nu: float, n: float, x: float) -> float:
+    # exp(-x) bi2
+    return (struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, x).value
+            - coefficients(nu, n).a * x ** (n + 2.0) * math.exp(-x))
+
+
+def _bi3_scaled(nu: float, n: float, x: float) -> float:
+    # exp(-x) bi3
+    coefs = coefficients(nu, n)
+    lead = 2.0 * (nu + n + 1.0) / (n + 1.0)
+    second = (2.0 * nu + n + 1.0) / (n + 1.0)
+    return (
+        lead * struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, x).value
+        - second * struve_l_weighted(nu + n + 3.0, x, -nu, 0.0, x).value
+        + (coefs.b * x ** (n + 4.0) - coefs.c * x ** (n + 2.0)) * math.exp(-x)
+    )
+
+
 def lower_bi2(nu: float, n: float, x: float) -> float:
     """Lower bound L_{nu+n+1}(x)/x^nu - a x^(n+2) for the undamped
     integral; exact equality on the boundary nu = -(n+1)/2."""
     _check_bi23_domain(nu, n, x, "bi2")
-    coefs = coefficients(nu, n)
-    return _struve_over_xnu(nu + n + 1.0, nu, x) - coefs.a * x ** (n + 2.0)
+    return unscale(_bi2_scaled(nu, n, x), x, "lower_bi2")
 
 
 def upper_bi3(nu: float, n: float, x: float) -> float:
     """Upper bound for the undamped integral; tight both as x grows and
-    as x drops to 0, exact on the boundary nu = -(n+1)/2.
-
-    Raises OverflowError when the sum or a term of it is beyond binary64."""
+    as x drops to 0, exact on the boundary nu = -(n+1)/2."""
     _check_bi23_domain(nu, n, x, "bi3")
-    coefs = coefficients(nu, n)
-    lead = 2.0 * (nu + n + 1.0) / (n + 1.0)
-    second = (2.0 * nu + n + 1.0) / (n + 1.0)
-    value = (
-        lead * _struve_over_xnu(nu + n + 1.0, nu, x)
-        - second * _struve_over_xnu(nu + n + 3.0, nu, x)
-        + coefs.b * x ** (n + 4.0)
-        - coefs.c * x ** (n + 2.0)
-    )
-    if not math.isfinite(value):
-        raise OverflowError("upper_bi3 overflows binary64")
-    return value
+    return unscale(_bi3_scaled(nu, n, x), x, "upper_bi3")
 
 
 def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
@@ -181,23 +173,24 @@ def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
 
 def lower_bi4(gamma: float, nu: float, x: float) -> float:
     """Lower bound for the damped n = 0 integral, built from the undamped
-    closed form."""
+    integral."""
     _check_damped_domain(gamma, nu, x, "bi4")
-    u = gamma * x
+    u, offset = gamma * x, (1.0 - gamma) * x
     # 1 - (1+u)e^-u is gamma_low(2, u), a positive series; 0 if u underflows
     poly = math.exp(log_lower_incomplete_gamma(2.0, u)) if u > 0.0 else 0.0
     tail = poly / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5))
-    inner = math.exp(-u) * integral_closed_form(nu, x) - tail
-    return inner / (1.0 - gamma)
+    inner = integral_power_series_scaled(nu, 0.0, x).value - tail * math.exp(-offset)
+    return unscale(inner / (1.0 - gamma), offset, "lower_bi4")
 
 
 def lower_bi5(gamma: float, nu: float, x: float) -> float:
     """Weaker, integral-free variant of bi4 using only L_nu(x)."""
     _check_damped_domain(gamma, nu, x, "bi5")
-    u = gamma * x
-    tail = (1.0 + u) * (-math.expm1(-u)) / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5))
-    inner = _struve_over_xnu(nu, nu, x, gamma) - tail
-    return inner / (1.0 - gamma)
+    u, offset = gamma * x, (1.0 - gamma) * x
+    tail = ((1.0 + u) * (-math.expm1(-u))
+            / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5)))
+    inner = struve_l_weighted(nu, x, -nu, 0.0, x).value - tail * math.exp(-offset)
+    return unscale(inner / (1.0 - gamma), offset, "lower_bi5")
 
 
 def _check_ratio_domain(nu: float, n: float, name: str) -> None:
@@ -300,14 +293,16 @@ def upper_bi7(gamma: float, nu: float, n: float, x: float) -> float:
     """Damped upper bound exp(-gamma x)/(1 - D gamma) times the undamped
     integral, with D = d_constant(nu, n); applicable only for gamma < 1/D."""
     d = _bi78_d(gamma, nu, n, x, "bi7")
-    return math.exp(-gamma * x) / (1.0 - d * gamma) * _undamped_integral(nu, n, x)
+    inner = integral_power_series_scaled(nu, n, x).value / (1.0 - d * gamma)
+    return unscale(inner, (1.0 - gamma) * x, "upper_bi7")
 
 
 def upper_bi8(gamma: float, nu: float, n: float, x: float) -> float:
     """Fully explicit variant of bi7 with the undamped integral replaced
     by its bi3 upper bound."""
     d = _bi78_d(gamma, nu, n, x, "bi8")
-    return math.exp(-gamma * x) / (1.0 - d * gamma) * upper_bi3(nu, n, x)
+    return unscale(_bi3_scaled(nu, n, x) / (1.0 - d * gamma), (1.0 - gamma) * x,
+                   "upper_bi8")
 
 
 def _check_corollary_domain(nu: float, x: float) -> None:
@@ -331,15 +326,11 @@ def corollary_middle(nu: float, x: float) -> float:
 
 def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
     """Two-sided bounds on corollary_middle: x^(nu-1) times bi2 and bi3
-    at order nu-1, n = 0, so built from L_nu and L_{nu+2}.  Raises
-    OverflowError when either is beyond binary64."""
+    at order nu-1, n = 0, so built from L_nu and L_{nu+2}."""
     _check_corollary_domain(nu, x)
     scale = x ** (nu - 1.0)
-    lower = scale * lower_bi2(nu - 1.0, 0.0, x)
-    upper = scale * upper_bi3(nu - 1.0, 0.0, x)
-    if math.isinf(lower) or math.isinf(upper):
-        raise OverflowError("corollary_bounds overflows binary64")
-    return lower, upper
+    return (unscale(scale * _bi2_scaled(nu - 1.0, 0.0, x), x, "corollary_bounds"),
+            unscale(scale * _bi3_scaled(nu - 1.0, 0.0, x), x, "corollary_bounds"))
 
 
 def bound_report(spec: IntegralSpec) -> BoundReport:

@@ -31,6 +31,7 @@ from .specfun import (
     pfq,
     struve_l_weighted,
     sum_series,
+    unscale,
 )
 
 #: Relative tolerance of the adaptive quadrature route.
@@ -213,16 +214,12 @@ def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
     weighted Struve series, and the offset is restored afterwards.  At
     large (1-gamma)x the integrated Hankel expansion (_expansion_scaled)
     replaces the quadrature wherever its error bound meets the same
-    tolerance; such a result reports 0 subdivisions.
+    tolerance; such a result reports 0 subdivisions.  Raises
+    OverflowError only when the integral is beyond binary64.
     """
     value, err, n, offset = _quadrature_scaled(spec)
-    if offset > 709.0:
-        raise OverflowError(
-            f"integral overflows binary64 at x={spec.x}, gamma={spec.gamma}; "
-            "use log_integral_quadrature"
-        )
-    scale = math.exp(offset)
-    return QuadratureResult(scale * value, scale * err, n)
+    name = "integral_quadrature"
+    return QuadratureResult(unscale(value, offset, name), unscale(err, offset, name), n)
 
 
 def log_integral_quadrature(spec: IntegralSpec) -> float:

@@ -120,13 +120,10 @@ def sum_series(
         if abs(q) < 1.0 and abs(term) <= REL_TERM_TOL * abs(total):
             small += 1
             if small == 2:
-                try:
-                    value = math.ldexp(total, bits)
-                except OverflowError:
-                    raise OverflowError(f"{name} overflows binary64") from None
                 units = k + 3 + abs(log_first) + abs(log_first - offset)
-                err = math.ldexp(2.0 * abs(term) + units * _EPS * abs(total), bits)
-                return SeriesEval(value, err, k + 2)
+                err = 2.0 * abs(term) + units * _EPS * abs(total)
+                return SeriesEval(_ldexp(total, bits, name), _ldexp(err, bits, name),
+                                  k + 2)
         else:
             small = 0
             if not -_RESCALE < total < _RESCALE:
@@ -134,6 +131,23 @@ def sum_series(
                 term /= _RESCALE
                 bits += _RESCALE_BITS
     raise ConvergenceError(f"{name} did not converge within {cap} terms")
+
+
+def _ldexp(value: float, bits: int, name: str) -> float:
+    # value * 2^bits, or an OverflowError naming the quantity
+    try:
+        return math.ldexp(value, bits)
+    except OverflowError:
+        raise OverflowError(f"{name} overflows binary64") from None
+
+
+def unscale(scaled: float, offset: float, name: str) -> float:
+    """exp(offset) * scaled, with offset split as bits ln 2 + r (Cody-Waite)
+    so the result is as accurate as scaled; raises OverflowError naming
+    the quantity only when the product itself is beyond binary64."""
+    bits = round(offset / _LN2)
+    return _ldexp(scaled * math.exp((offset - bits * _LN2_HI) - bits * _LN2_LO),
+                  bits, name)
 
 
 def _check_pfq_params(a: Sequence[float], b: Sequence[float], z: float) -> None:
@@ -286,10 +300,7 @@ def _struve_asymptotic(
     # one rounding per term summed, and those of the logarithms in scale
     err = trunc + _EPS * ((terms + 1) * (scale * habs + mabs)
                           + (abs(power * lx) + lx) * abs(total))
-    try:
-        return SeriesEval(math.ldexp(total, bits), math.ldexp(err, bits), terms)
-    except OverflowError:
-        raise OverflowError(f"{name} overflows binary64") from None
+    return SeriesEval(_ldexp(total, bits, name), _ldexp(err, bits, name), terms)
 
 
 def _log_gser(s: float, z: float) -> float:

@@ -385,6 +385,24 @@ def _mp_bi5(mp, gamma, x):
     return (mp.struvel(0, x) * mp.exp(-u) - tail) / (1 - mp.mpf(gamma))
 
 
+def _mp_undamped(mp, x):
+    # the undamped n = 0 integral at nu = 0, its 2F3 closed form
+    x = mp.mpf(x)
+    return x**2 / (mp.sqrt(mp.pi) * 2 * mp.gamma(1.5)) * mp.hyper(
+        [1, 1], [1.5, 2, 1.5], x**2 / 4
+    )
+
+
+def _mp_damped(mp, bound, gamma, x):
+    # bi4, bi7 or bi8 at nu = n = 0; bi7 and bi8 take the solver's D
+    u = mp.mpf(gamma) * x
+    if bound == "bi4":
+        tail = (1 - (1 + u) * mp.exp(-u)) / (mp.sqrt(mp.pi) * gamma * mp.gamma(1.5))
+        return (mp.exp(-u) * _mp_undamped(mp, x) - tail) / (1 - mp.mpf(gamma))
+    undamped = _mp_undamped(mp, x) if bound == "bi7" else _mp_bi2_bi3(mp, 0, 0, x)[1]
+    return mp.exp(-u) / (1 - gamma * mp.mpf(d_constant(0.0, 0.0).value)) * undamped
+
+
 PAST_EXP_LIMIT = {
     "bi1-712": (
         lambda: lower_bi1(0.0, 712.0),
@@ -400,6 +418,7 @@ PAST_EXP_LIMIT = {
         lambda: corollary_bounds(1.0, 710.0)[1],
         lambda mp: _mp_bi2_bi3(mp, 0, 0, 710)[1],
     ),
+    "bi4-716": (lambda: lower_bi4(0.5, 0.0, 716.0), lambda mp: _mp_damped(mp, "bi4", 0.5, 716)),
     "bi5-1415": (lambda: lower_bi5(0.5, 0.0, 1415.0), lambda mp: _mp_bi5(mp, 0.5, 1415)),
     "bi5-1420": (lambda: lower_bi5(0.5, 0.0, 1420.0), lambda mp: _mp_bi5(mp, 0.5, 1420)),
 }
@@ -416,45 +435,79 @@ def test_bounds_past_exp_limit_match_mpmath(case):
         assert float(abs((got - want) / want)) < 1e-12
 
 
+# (call, reference, first x, last x): each crosses DBL_MAX in its range
 NEAR_DBL_MAX = {
-    "bi3": (lambda x: upper_bi3(0.0, 0.0, x), lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[1]),
+    "bi3": (
+        lambda x: upper_bi3(0.0, 0.0, x), lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[1],
+        712.0, 716.0,
+    ),
     "corollary-lower": (
         lambda x: corollary_bounds(1.0, x)[0],
         lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[0],
+        712.0, 716.0,
     ),
     "corollary-upper": (
         lambda x: corollary_bounds(1.0, x)[1],
         lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[1],
+        712.0, 716.0,
     ),
     "corollary-nu2-lower": (
         lambda x: corollary_bounds(2.0, x)[0],
         lambda mp, x: x * _mp_bi2_bi3(mp, 1, 0, x)[0],
+        712.0, 716.0,
     ),
     "corollary-nu2-upper": (
         lambda x: corollary_bounds(2.0, x)[1],
         lambda mp, x: x * _mp_bi2_bi3(mp, 1, 0, x)[1],
+        712.0, 716.0,
     ),
-    "bi2": (lambda x: lower_bi2(0.0, 0.0, x), lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[0]),
-    "bi5": (lambda x: lower_bi5(1e-3, 0.0, x), lambda mp, x: _mp_bi5(mp, 1e-3, x)),
+    "bi2": (
+        lambda x: lower_bi2(0.0, 0.0, x), lambda mp, x: _mp_bi2_bi3(mp, 0, 0, x)[0],
+        712.0, 716.0,
+    ),
+    "bi5": (
+        lambda x: lower_bi5(1e-3, 0.0, x), lambda mp, x: _mp_bi5(mp, 1e-3, x),
+        712.0, 716.0,
+    ),
+    "bi4": (
+        lambda x: lower_bi4(0.5, 0.0, x), lambda mp, x: _mp_damped(mp, "bi4", 0.5, x),
+        1412.0, 1420.0,
+    ),
+    "bi7": (
+        lambda x: upper_bi7(0.5, 0.0, 0.0, x),
+        lambda mp, x: _mp_damped(mp, "bi7", 0.5, x),
+        1412.0, 1420.0,
+    ),
+    "bi8": (
+        lambda x: upper_bi8(0.5, 0.0, 0.0, x),
+        lambda mp, x: _mp_damped(mp, "bi8", 0.5, x),
+        1412.0, 1420.0,
+    ),
+    "integral": (
+        lambda x: integral_quadrature(IntegralSpec(0.0, 0.0, 0.0, x)).value,
+        _mp_undamped,
+        709.0, 713.0,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(NEAR_DBL_MAX))
 def test_bounds_near_dbl_max_are_right_or_overflow(case):
-    # from x = 712 to 716 the bounds and their terms cross DBL_MAX; bi3
-    # once returned inf at 713.5, where 2 L_1(x) is beyond it but bi3
-    # (1.1105e308) is not, and the corollary at nu = 2 from 714 on
+    # at 17 points of each range the value is right to 1e-12 wherever it
+    # is below DBL_MAX, and OverflowError is raised only above it; bi3
+    # once returned inf at 713.5, where 2 L_1(x) is beyond DBL_MAX but bi3
+    # (1.1105e308) is not
     mp = pytest.importorskip("mpmath")
-    call, reference = NEAR_DBL_MAX[case]
+    call, reference, lo, hi = NEAR_DBL_MAX[case]
     with mp.workdps(30):
         for i in range(17):
-            x = 712.0 + 0.25 * i
-            try:
-                got = call(x)
-            except OverflowError:
-                continue
+            x = lo + (hi - lo) * i / 16
             want = reference(mp, x)
-            assert float(abs((got - want) / want)) < 1e-12
+            if abs(want) >= 2**1024:
+                with pytest.raises(OverflowError, match="overflows binary64$"):
+                    call(x)
+            else:
+                assert float(abs((call(x) - want) / want)) < 1e-12, x
 
 
 @pytest.mark.parametrize("bound", [0, 1], ids=["bi2", "bi3"])
@@ -506,14 +559,13 @@ def test_bound_beyond_binary64_below_exp_limit_overflows(call):
     "call",
     [
         lambda: integral_closed_form(0.0, 716.0),
-        lambda: lower_bi4(0.5, 0.0, 716.0),
         lambda: corollary_middle(1.0, 716.0),
     ],
-    ids=["closed-form", "bi4", "corollary-middle"],
+    ids=["closed-form", "corollary-middle"],
 )
 def test_closed_form_product_beyond_binary64_overflows(call):
     # the 2F3 series is finite at x = 716 but the closed form, about
-    # exp(711.8), is not; bi4 (about exp(354)) needs it whole
+    # exp(711.8), is not
     with pytest.raises(OverflowError, match="^integral_closed_form overflows binary64$"):
         call()
 
