@@ -295,7 +295,8 @@ def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
 
     Requires gamma > 0; the undamped case is integral_power_series.
     Each term is assembled in log space, which keeps the damping powers
-    gamma^-(n+2k+2) from overflowing on their own.
+    gamma^-(n+2k+2) from overflowing on their own; the estimate adds the
+    largest log term's rounding, max |log t_k| eps |sum|.
     """
     if spec.gamma <= 0.0:
         raise DomainError(
@@ -318,15 +319,20 @@ def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
         )
 
     prev = log_term(0)
+    big = abs(prev)
 
     def ratio(k: int) -> float:
-        nonlocal prev
+        nonlocal prev, big
         cur = log_term(k + 1)
         q = math.exp(cur - prev)
-        prev = cur
+        prev, big = cur, max(big, abs(cur))
         return q
 
-    return sum_series(prev, ratio, 0.0, "integral_series_oracle", x)
+    out = sum_series(prev, ratio, 0.0, "integral_series_oracle", x)
+    # each term carries the rounding of its own log, which the kernel
+    # counts for the first term only; the terms are positive
+    err = out.abs_error_estimate + big * math.ulp(1.0) * out.value
+    return SeriesEval(out.value, err, out.terms_used)
 
 
 def log_asymptotic_integral(spec: IntegralSpec, offset: float = 0.0) -> float:

@@ -189,7 +189,9 @@ def pfq(
             den *= bj + k
         return num / den * z / (k + 1.0)
 
-    return sum_series(0.0, ratio, 0.0, "pFq series")
+    # for q = p+1 the terms peak near k = sqrt|z|, as those of a series
+    # in x = 2 sqrt|z| do, so that x sets the term cap
+    return sum_series(0.0, ratio, 0.0, "pFq series", 2.0 * math.sqrt(abs(z)))
 
 
 def struve_l(nu: float, x: float) -> SeriesEval:

@@ -570,6 +570,22 @@ def test_closed_form_product_beyond_binary64_overflows(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integral_closed_form(0.0, 1000.0),
+        lambda: integral_closed_form(0.0, 1416.0),
+        lambda: corollary_middle(1.0, 1416.0),
+    ],
+    ids=["closed-form-1000", "closed-form-1416", "corollary-middle-1416"],
+)
+def test_closed_form_series_beyond_binary64_overflows(call):
+    # there the 2F3 series itself passes DBL_MAX; its term cap follows
+    # from x = 2 sqrt(z), so it gets that far instead of stopping at 600
+    with pytest.raises(OverflowError, match="^pFq series overflows binary64$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # corollary
 

@@ -266,6 +266,17 @@ def test_oracle_vanishes_with_x():
     assert integral_series_oracle(spec).value < 1e-14
 
 
+def test_oracle_estimate_counts_the_log_terms():
+    # each term's ratio is exp of a difference of log terms, whose rounding
+    # the estimate must carry: this spec is off by 5.4e-15 relative and
+    # claimed 5.0e-15 when only the first log term was counted
+    spec = IntegralSpec(0.08142134805239039, 0.0, 2.0, 0.670407796966137)
+    got = integral_series_oracle(spec)
+    with mpmath.workdps(30):
+        want = reference_integral(spec.gamma, spec.nu, spec.n, spec.x)
+        assert abs(got.value - want) <= got.abs_error_estimate
+
+
 def test_oracle_requires_damping():
     with pytest.raises(DomainError):
         integral_series_oracle(IntegralSpec(0.0, 0.0, 0.0, 1.0))
