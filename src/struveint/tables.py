@@ -123,19 +123,3 @@ def table_to_json(artifact: TableArtifact) -> str:
         "meta": {"tolerances": TABLE_META_TOLERANCES[artifact.kind]},
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def parse_table_csv(text: str) -> TableArtifact:
-    """Inverse of table_to_csv, used by the round-trip checks."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    kind = "dconstants" if header[0] == "nu" else "table1"
-    col_labels = header[1:]
-    row_labels = []
-    rows = []
-    for parts in reader:
-        if not parts:
-            continue
-        row_labels.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    return TableArtifact(kind, rows, row_labels, col_labels)
