@@ -15,7 +15,9 @@ script) on:
   (nu, x) = (5, 0.0209) (where the rounding of the first term's
   exponent dominates the series estimate), ``eval struve-l-scaled`` at
   (nu, x) = (10, 1e4) and (-1.4, 35), ``eval integral`` at x = 300
-  (these three from a large-x expansion), and ``--version``.
+  (these three from a large-x expansion) and at gamma = nu = n = 0,
+  x = 712 (past exp(709), still below the largest double), and
+  ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -54,6 +56,8 @@ README_EXAMPLES = {
                       "--x", "1", "--format", "json"],
     "eval-integral-300": ["eval", "integral", "--gamma", "0.5", "--nu", "1", "--n", "0",
                           "--x", "300"],
+    "eval-integral-712": ["eval", "integral", "--gamma", "0", "--nu", "0", "--n", "0",
+                          "--x", "712"],
     "dconst": ["dconst", "--nu", "0", "--n", "0"],
     "version": ["--version"],
 }
