@@ -27,6 +27,7 @@ from struveint.specfun import (
     struve_l,
     struve_l_scaled,
     struve_l_weighted,
+    unscale,
 )
 
 mpmath.mp.dps = 30
@@ -275,6 +276,23 @@ def test_overflow_names_the_series(call, name):
     # each value is beyond the largest double: L_0(720) is about exp(715.8)
     with pytest.raises(OverflowError, match=f"^{name} overflows binary64$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "scaled,offset",
+    [(0.75, 0.0), (0.3, 1e-300), (2.5e-3, 30.5), (1e-5, 720.0), (-0.2, 709.9),
+     (1e-300, 1400.0), (7e3, 697.25)],
+)
+def test_unscale_matches_mpmath(scaled, offset):
+    # exp(offset) * scaled within a few units, exp(offset) or not a double
+    want = mpmath.exp(offset) * scaled
+    assert float(abs(unscale(scaled, offset, "q") - want) / abs(want)) < 4e-16
+
+
+def test_unscale_names_its_overflow():
+    # 1e-4 exp(721) is 1.3e309, past the largest double
+    with pytest.raises(OverflowError, match="^upper_bi3 overflows binary64$"):
+        unscale(1e-4, 721.0, "upper_bi3")
 
 
 def test_struve_series_metadata():
