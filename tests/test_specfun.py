@@ -284,7 +284,8 @@ def test_overflow_names_the_series(call, name):
      (1e-300, 1400.0), (7e3, 697.25)],
 )
 def test_unscale_matches_mpmath(scaled, offset):
-    # exp(offset) * scaled within a few units, exp(offset) or not a double
+    # within two units of exp(offset) * scaled, also where exp(offset)
+    # alone is not a double
     want = mpmath.exp(offset) * scaled
     assert float(abs(unscale(scaled, offset, "q") - want) / abs(want)) < 4e-16
 
