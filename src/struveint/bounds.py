@@ -19,6 +19,7 @@ from functools import lru_cache
 from .exceptions import BoundNotApplicableError, DomainError, DSolverError
 from .integrals import (
     IntegralSpec,
+    _damping_residual,
     integral_closed_form,
     integral_power_series,
     integral_power_series_scaled,
@@ -171,6 +172,13 @@ def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
         raise DomainError(f"{name} requires x > 0, got x={x}")
 
 
+def _unscale_damped(scaled: float, gamma: float, x: float, name: str) -> float:
+    # exp((1-gamma)x) scaled, restoring fl((1-gamma)x)'s rounding (x < 1e300)
+    offset = (1.0 - gamma) * x
+    fix = math.exp(_damping_residual(gamma, x, offset)) if x < 1e300 else 1.0
+    return unscale(scaled * fix, offset, name)
+
+
 def lower_bi4(gamma: float, nu: float, x: float) -> float:
     """Lower bound for the damped n = 0 integral, built from the undamped
     integral."""
@@ -180,7 +188,7 @@ def lower_bi4(gamma: float, nu: float, x: float) -> float:
     poly = math.exp(log_lower_incomplete_gamma(2.0, u)) if u > 0.0 else 0.0
     tail = poly / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5))
     inner = integral_power_series_scaled(nu, 0.0, x).value - tail * math.exp(-offset)
-    return unscale(inner / (1.0 - gamma), offset, "lower_bi4")
+    return _unscale_damped(inner / (1.0 - gamma), gamma, x, "lower_bi4")
 
 
 def lower_bi5(gamma: float, nu: float, x: float) -> float:
@@ -190,7 +198,7 @@ def lower_bi5(gamma: float, nu: float, x: float) -> float:
     tail = ((1.0 + u) * (-math.expm1(-u))
             / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5)))
     inner = struve_l_weighted(nu, x, -nu, 0.0, x).value - tail * math.exp(-offset)
-    return unscale(inner / (1.0 - gamma), offset, "lower_bi5")
+    return _unscale_damped(inner / (1.0 - gamma), gamma, x, "lower_bi5")
 
 
 def _check_ratio_domain(nu: float, n: float, name: str) -> None:
@@ -294,15 +302,15 @@ def upper_bi7(gamma: float, nu: float, n: float, x: float) -> float:
     integral, with D = d_constant(nu, n); applicable only for gamma < 1/D."""
     d = _bi78_d(gamma, nu, n, x, "bi7")
     inner = integral_power_series_scaled(nu, n, x).value / (1.0 - d * gamma)
-    return unscale(inner, (1.0 - gamma) * x, "upper_bi7")
+    return _unscale_damped(inner, gamma, x, "upper_bi7")
 
 
 def upper_bi8(gamma: float, nu: float, n: float, x: float) -> float:
     """Fully explicit variant of bi7 with the undamped integral replaced
     by its bi3 upper bound."""
     d = _bi78_d(gamma, nu, n, x, "bi8")
-    return unscale(_bi3_scaled(nu, n, x) / (1.0 - d * gamma), (1.0 - gamma) * x,
-                   "upper_bi8")
+    return _unscale_damped(_bi3_scaled(nu, n, x) / (1.0 - d * gamma), gamma, x,
+                           "upper_bi8")
 
 
 def _check_corollary_domain(nu: float, x: float) -> None:

@@ -142,9 +142,10 @@ def _ldexp(value: float, bits: int, name: str) -> float:
 
 
 def unscale(scaled: float, offset: float, name: str) -> float:
-    """exp(offset) * scaled, with offset split as bits ln 2 + r (Cody-Waite)
-    so the result is as accurate as scaled; raises OverflowError naming
-    the quantity only when the product itself is beyond binary64."""
+    """exp(offset) * scaled, offset split exactly as bits ln 2 + r (Cody-Waite)
+    up to 1500, past which any nonzero product overflows; raises
+    OverflowError naming the quantity only when the product is beyond binary64."""
+    offset = min(offset, 1500.0)
     bits = round(offset / _LN2)
     return _ldexp(scaled * math.exp((offset - bits * _LN2_HI) - bits * _LN2_LO),
                   bits, name)
@@ -189,8 +190,7 @@ def pfq(
             den *= bj + k
         return num / den * z / (k + 1.0)
 
-    # for q = p+1 the terms peak near k = sqrt|z|, as those of a series
-    # in x = 2 sqrt|z| do, so that x sets the term cap
+    # q = p+1 terms peak near k = sqrt|z|, as those of a series in 2 sqrt|z|
     return sum_series(0.0, ratio, 0.0, "pFq series", 2.0 * math.sqrt(abs(z)))
 
 

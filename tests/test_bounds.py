@@ -545,6 +545,23 @@ def test_bound_beyond_binary64_still_overflows():
 
 @pytest.mark.parametrize(
     "call",
+    [
+        lambda: lower_bi5(0.5, 0.0, 1e301),
+        lambda: lower_bi2(0.0, 0.0, 1e30),
+        lambda: corollary_bounds(1.0, 1e30),
+        lambda: integral_quadrature(IntegralSpec(0.5, 0.0, 0.0, 1e30)),
+    ],
+    ids=["bi5-1e301", "bi2-1e30", "corollary-1e30", "integral-1e30"],
+)
+def test_bound_far_beyond_binary64_overflows(call):
+    # exp(offset) alone is far past the largest double; these once
+    # returned finite negative values (bi5 -1.27e301)
+    with pytest.raises(OverflowError, match="overflows binary64$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
     [lambda: lower_bi1(-1.4, 709.5), lambda: lower_bi5(0.5, -1.4, 1418.0)],
     ids=["bi1-709.5", "bi5-1418"],
 )

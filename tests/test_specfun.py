@@ -290,10 +290,13 @@ def test_unscale_matches_mpmath(scaled, offset):
     assert float(abs(unscale(scaled, offset, "q") - want) / abs(want)) < 4e-16
 
 
-def test_unscale_names_its_overflow():
-    # 1e-4 exp(721) is 1.3e309, past the largest double
+@pytest.mark.parametrize("scaled,offset", [(1e-4, 721.0), (1e-300, 1455.0), (5e-324, 1e301)])
+def test_unscale_names_its_overflow(scaled, offset):
+    # 1e-4 exp(721) is 1.3e309, past the largest double; past offset 1455
+    # any nonzero product is
     with pytest.raises(OverflowError, match="^upper_bi3 overflows binary64$"):
-        unscale(1e-4, 721.0, "upper_bi3")
+        unscale(scaled, offset, "upper_bi3")
+    assert unscale(0.0, offset, "upper_bi3") == 0.0
 
 
 def test_struve_series_metadata():
