@@ -122,7 +122,8 @@ def sum_series(
             if small == 2:
                 units = k + 3 + abs(log_first) + abs(log_first - offset)
                 err = 2.0 * abs(term) + units * _EPS * abs(total)
-                return SeriesEval(_ldexp(total, bits, name), _ldexp(err, bits, name),
+                # err < |total|: once the value is in binary64, so is err
+                return SeriesEval(_ldexp(total, bits, name), math.ldexp(err, bits),
                                   k + 2)
         else:
             small = 0
@@ -134,7 +135,6 @@ def sum_series(
 
 
 def _ldexp(value: float, bits: int, name: str) -> float:
-    # value * 2^bits, or an OverflowError naming the quantity
     try:
         return math.ldexp(value, bits)
     except OverflowError:
@@ -302,7 +302,7 @@ def _struve_asymptotic(
     # one rounding per term summed, and those of the logarithms in scale
     err = trunc + _EPS * ((terms + 1) * (scale * habs + mabs)
                           + (abs(power * lx) + lx) * abs(total))
-    return SeriesEval(_ldexp(total, bits, name), _ldexp(err, bits, name), terms)
+    return SeriesEval(_ldexp(total, bits, name), math.ldexp(err, bits), terms)
 
 
 def _log_gser(s: float, z: float) -> float:
