@@ -145,7 +145,7 @@ def unscale(scaled: float, offset: float, name: str) -> float:
     """exp(offset) * scaled, offset split exactly as bits ln 2 + r (Cody-Waite)
     up to 1500, past which any nonzero product overflows; raises
     OverflowError naming the quantity only when the product is beyond binary64."""
-    offset = min(offset, 1500.0)
+    offset = 1500.0 if offset > 1500.0 else offset
     bits = round(offset / _LN2)
     return _ldexp(scaled * math.exp((offset - bits * _LN2_HI) - bits * _LN2_LO),
                   bits, name)
