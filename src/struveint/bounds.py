@@ -6,8 +6,8 @@ supremum constant D that gates the damped upper bounds, and the derived
 two-sided bounds on the 2F3 expression.
 
 The bound values are assembled from series, never from quadrature, so
-they are deterministic.  Each is formed as exp(-(1-gamma)x) times its
-value and leaves that offset form through specfun.unscale.
+they are deterministic.  Each is formed as exp(k - (1-gamma)x) times its
+value and leaves that offset form through _leave and specfun.unscale.
 """
 
 from __future__ import annotations
@@ -20,14 +20,15 @@ from .exceptions import BoundNotApplicableError, DomainError, DSolverError
 from .integrals import (
     IntegralSpec,
     _damping_residual,
-    integral_closed_form,
+    _power_series,
+    closed_form_times_power,
     integral_power_series,
     integral_power_series_scaled,
     integral_quadrature,
 )
 from .specfun import (
     SQRT_PI,
-    gamma_fn,
+    log_gamma,
     log_lower_incomplete_gamma,
     struve_l_scaled,
     struve_l_weighted,
@@ -42,6 +43,7 @@ D_SCAN_HI = 500.0
 #: Absolute x tolerance for the golden-section refinement.
 D_XTOL = 1e-6
 
+_LN2 = math.log(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -93,21 +95,13 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
         if factor == 0.0:
             raise DomainError(f"denominator factor {label} vanishes at nu={nu}, n={n}")
     top = 2.0 * nu + n + 1.0
-    g52 = gamma_fn(nu + n + 2.5)
-    a = top / (SQRT_PI * 2.0 ** (nu + n + 2.0) * (n + 2.0) * (nu + n + 1.0) * g52)
-    b = (
-        top
-        * (2.0 * nu + n + 3.0)
-        / (
-            SQRT_PI
-            * 2.0 ** (nu + n + 4.0)
-            * (n + 1.0)
-            * (n + 4.0)
-            * (nu + n + 3.0)
-            * gamma_fn(nu + n + 4.5)
-        )
-    )
-    c = top / (SQRT_PI * 2.0 ** (nu + n + 1.0) * (n + 1.0) * (n + 2.0) * g52)
+    # top / (sqrt(pi) 2^(nu+n+1) Gamma(nu+n+5/2)); Gamma in log space, as
+    # it passes DBL_MAX once nu + n > 169
+    base = top * math.exp(-(nu + n + 1.0) * _LN2 - log_gamma(nu + n + 2.5)) / SQRT_PI
+    a = base / (2.0 * (n + 2.0) * (nu + n + 1.0))
+    b = base * (2.0 * nu + n + 3.0) / (
+        8.0 * (n + 1.0) * (n + 4.0) * (nu + n + 3.0) * (nu + n + 2.5) * (nu + n + 3.5))
+    c = base / ((n + 1.0) * (n + 2.0))
     return BoundCoefficients(a, b, c)
 
 
@@ -131,36 +125,44 @@ def _check_bi23_domain(nu: float, n: float, x: float, name: str) -> None:
         raise DomainError(f"{name} requires x > 0, got x={x}")
 
 
-def _bi2_scaled(nu: float, n: float, x: float) -> float:
-    # exp(-x) bi2
-    return (struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, x).value
-            - coefficients(nu, n).a * x ** (n + 2.0) * math.exp(-x))
+def _bi2_scaled(nu: float, n: float, x: float, offset: float) -> float:
+    # exp(-offset) bi2
+    return (struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, offset).value
+            - coefficients(nu, n).a * x ** (n + 2.0) * math.exp(-offset))
 
 
-def _bi3_scaled(nu: float, n: float, x: float) -> float:
-    # exp(-x) bi3
+def _bi3_scaled(nu: float, n: float, x: float, offset: float) -> float:
+    # exp(-offset) bi3
     coefs = coefficients(nu, n)
     lead = 2.0 * (nu + n + 1.0) / (n + 1.0)
     second = (2.0 * nu + n + 1.0) / (n + 1.0)
-    return (
-        lead * struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, x).value
-        - second * struve_l_weighted(nu + n + 3.0, x, -nu, 0.0, x).value
-        + (coefs.b * x ** (n + 4.0) - coefs.c * x ** (n + 2.0)) * math.exp(-x)
-    )
+    return (lead * struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, offset).value
+            - second * struve_l_weighted(nu + n + 3.0, x, -nu, 0.0, offset).value
+            + (coefs.b * x ** (n + 4.0) - coefs.c * x ** (n + 2.0)) * math.exp(-offset))
+
+
+def _leave(scaled, gamma: float, nu: float, x: float, name: str) -> float:
+    # exp((1-gamma)x - k) scaled(k), restoring fl((1-gamma)x)'s rounding
+    # (x < 1e300).  The whole k in [0, (1-gamma)x] near log x^nu keeps a
+    # bound's x^-nu from underflowing it, and leaves offset - k exact.
+    offset = (1.0 - gamma) * x
+    k = float(math.floor(max(0.0, min(nu * math.log(x), offset))))
+    fix = math.exp(_damping_residual(gamma, x, offset)) if gamma and x < 1e300 else 1.0
+    return unscale(scaled(k) * fix, offset - k, name)
 
 
 def lower_bi2(nu: float, n: float, x: float) -> float:
     """Lower bound L_{nu+n+1}(x)/x^nu - a x^(n+2) for the undamped
     integral; exact equality on the boundary nu = -(n+1)/2."""
     _check_bi23_domain(nu, n, x, "bi2")
-    return unscale(_bi2_scaled(nu, n, x), x, "lower_bi2")
+    return _leave(lambda k: _bi2_scaled(nu, n, x, x - k), 0.0, nu, x, "lower_bi2")
 
 
 def upper_bi3(nu: float, n: float, x: float) -> float:
     """Upper bound for the undamped integral; tight both as x grows and
     as x drops to 0, exact on the boundary nu = -(n+1)/2."""
     _check_bi23_domain(nu, n, x, "bi3")
-    return unscale(_bi3_scaled(nu, n, x), x, "upper_bi3")
+    return _leave(lambda k: _bi3_scaled(nu, n, x, x - k), 0.0, nu, x, "upper_bi3")
 
 
 def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
@@ -172,11 +174,9 @@ def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
         raise DomainError(f"{name} requires x > 0, got x={x}")
 
 
-def _unscale_damped(scaled: float, gamma: float, x: float, name: str) -> float:
-    # exp((1-gamma)x) scaled, restoring fl((1-gamma)x)'s rounding (x < 1e300)
-    offset = (1.0 - gamma) * x
-    fix = math.exp(_damping_residual(gamma, x, offset)) if x < 1e300 else 1.0
-    return unscale(scaled * fix, offset, name)
+def _tail_scale(gamma: float, nu: float, offset: float) -> float:
+    # exp(-offset) / (sqrt(pi) gamma 2^nu Gamma(nu+3/2)), the Gamma in log space
+    return math.exp(-offset - nu * _LN2 - log_gamma(nu + 1.5)) / (SQRT_PI * gamma)
 
 
 def lower_bi4(gamma: float, nu: float, x: float) -> float:
@@ -186,19 +186,19 @@ def lower_bi4(gamma: float, nu: float, x: float) -> float:
     u, offset = gamma * x, (1.0 - gamma) * x
     # 1 - (1+u)e^-u is gamma_low(2, u), a positive series; 0 if u underflows
     poly = math.exp(log_lower_incomplete_gamma(2.0, u)) if u > 0.0 else 0.0
-    tail = poly / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5))
-    inner = integral_power_series_scaled(nu, 0.0, x).value - tail * math.exp(-offset)
-    return _unscale_damped(inner / (1.0 - gamma), gamma, x, "lower_bi4")
+    return _leave(lambda k: (_power_series(nu, 0.0, x, x - k).value
+                             - poly * _tail_scale(gamma, nu, offset - k)) / (1.0 - gamma),
+                  gamma, nu, x, "lower_bi4")
 
 
 def lower_bi5(gamma: float, nu: float, x: float) -> float:
     """Weaker, integral-free variant of bi4 using only L_nu(x)."""
     _check_damped_domain(gamma, nu, x, "bi5")
     u, offset = gamma * x, (1.0 - gamma) * x
-    tail = ((1.0 + u) * (-math.expm1(-u))
-            / (SQRT_PI * gamma * 2.0**nu * gamma_fn(nu + 1.5)))
-    inner = struve_l_weighted(nu, x, -nu, 0.0, x).value - tail * math.exp(-offset)
-    return _unscale_damped(inner / (1.0 - gamma), gamma, x, "lower_bi5")
+    poly = (1.0 + u) * -math.expm1(-u)
+    return _leave(lambda k: (struve_l_weighted(nu, x, -nu, 0.0, x - k).value
+                             - poly * _tail_scale(gamma, nu, offset - k)) / (1.0 - gamma),
+                  gamma, nu, x, "lower_bi5")
 
 
 def _check_ratio_domain(nu: float, n: float, name: str) -> None:
@@ -301,16 +301,16 @@ def upper_bi7(gamma: float, nu: float, n: float, x: float) -> float:
     """Damped upper bound exp(-gamma x)/(1 - D gamma) times the undamped
     integral, with D = d_constant(nu, n); applicable only for gamma < 1/D."""
     d = _bi78_d(gamma, nu, n, x, "bi7")
-    inner = integral_power_series_scaled(nu, n, x).value / (1.0 - d * gamma)
-    return _unscale_damped(inner, gamma, x, "upper_bi7")
+    return _leave(lambda k: _power_series(nu, n, x, x - k).value / (1.0 - d * gamma),
+                  gamma, nu, x, "upper_bi7")
 
 
 def upper_bi8(gamma: float, nu: float, n: float, x: float) -> float:
     """Fully explicit variant of bi7 with the undamped integral replaced
     by its bi3 upper bound."""
     d = _bi78_d(gamma, nu, n, x, "bi8")
-    return _unscale_damped(_bi3_scaled(nu, n, x) / (1.0 - d * gamma), gamma, x,
-                           "upper_bi8")
+    return _leave(lambda k: _bi3_scaled(nu, n, x, x - k) / (1.0 - d * gamma),
+                  gamma, nu, x, "upper_bi8")
 
 
 def _check_corollary_domain(nu: float, x: float) -> None:
@@ -329,7 +329,7 @@ def corollary_middle(nu: float, x: float) -> float:
     which is x^(nu-1) times the undamped closed form at order nu-1.
     """
     _check_corollary_domain(nu, x)
-    return x ** (nu - 1.0) * integral_closed_form(nu - 1.0, x)
+    return closed_form_times_power(nu - 1.0, x, nu + 1.0)
 
 
 def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
@@ -337,8 +337,8 @@ def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
     at order nu-1, n = 0, so built from L_nu and L_{nu+2}."""
     _check_corollary_domain(nu, x)
     scale = x ** (nu - 1.0)
-    return (unscale(scale * _bi2_scaled(nu - 1.0, 0.0, x), x, "corollary_bounds"),
-            unscale(scale * _bi3_scaled(nu - 1.0, 0.0, x), x, "corollary_bounds"))
+    return (unscale(scale * _bi2_scaled(nu - 1.0, 0.0, x, x), x, "corollary_bounds"),
+            unscale(scale * _bi3_scaled(nu - 1.0, 0.0, x, x), x, "corollary_bounds"))
 
 
 def bound_report(spec: IntegralSpec) -> BoundReport:

@@ -19,16 +19,15 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .exceptions import DomainError
+from .exceptions import DomainError, ToleranceNotMetError
 from .quadrature import adaptive_quadrature
 from .specfun import (
     SQRT_PI,
     SQRT_TWO_PI,
     SeriesEval,
-    gamma_fn,
     log_gamma,
     log_lower_incomplete_gamma,
-    pfq,
+    pfq_weighted,
     struve_l_weighted,
     sum_series,
     unscale,
@@ -132,6 +131,9 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
             max_subdivisions=QUAD_MAX_SUBDIVISIONS,
         )
         result = value, err, n, offset
+    if result[0] == 0.0 and offset > 1.0:  # unknown, not 0
+        raise ToleranceNotMetError(f"integral_quadrature: exp(-{offset:g}) times "
+                                   "the integral underflows", 0.0, math.inf, result[2])
     if memo is not None:
         memo[spec] = result
     return result
@@ -215,7 +217,8 @@ def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
     large (1-gamma)x the integrated Hankel expansion (_expansion_scaled)
     replaces the quadrature wherever its error bound meets the same
     tolerance; such a result reports 0 subdivisions.  Raises
-    OverflowError only when the integral is beyond binary64.
+    OverflowError only when the integral is beyond binary64, and
+    ToleranceNotMetError when its offset form underflows at offset > 1.
     """
     value, err, n, offset = _quadrature_scaled(spec)
     name = "integral_quadrature"
@@ -241,11 +244,15 @@ def integral_closed_form(nu: float, x: float) -> float:
         raise DomainError(f"closed form requires x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
-    front = x * x / (SQRT_PI * 2.0 ** (nu + 1.0) * gamma_fn(nu + 1.5))
-    value = front * pfq([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x).value
-    if math.isinf(value):
-        raise OverflowError("integral_closed_form overflows binary64")
-    return value
+    return closed_form_times_power(nu, x, 2.0)
+
+
+def closed_form_times_power(nu: float, x: float, power: float) -> float:
+    """x^(power-2) integral_closed_form(nu, x) for x > 0: the Gamma factor
+    in the log of the series' first term, x^power left through unscale."""
+    log_front = -math.log(SQRT_PI) - (nu + 1.0) * math.log(2.0) - log_gamma(nu + 1.5)
+    series = pfq_weighted([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x, log_front)
+    return unscale(series.value, power * math.log(x), "integral_closed_form")
 
 
 def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:

@@ -31,11 +31,9 @@ SCALED_SWITCH_X = 30.0
 _INCGAMMA_CAP = 10000
 
 # sum_series divides its partial sum by _RESCALE (an exact power of two)
-# whenever the sum passes it, and starts from a mantissa near 1 when the
-# first term would be outside [exp(-_LOG_RANGE), exp(_LOG_RANGE)].
+# whenever the sum passes it, and starts from a mantissa near 1.
 _RESCALE_BITS = 930
 _RESCALE = 2.0**_RESCALE_BITS
-_LOG_RANGE = 700.0
 _LN2 = math.log(2.0)
 # Cody-Waite split of ln 2: bits * _LN2_HI is exact for |bits| < 2**21.
 _LN2_HI = 6.93147180369123816490e-01
@@ -102,16 +100,10 @@ def sum_series(
     # x/2 + 12 sqrt(x) + 80 stays below 600 up to x = 500: skip it there
     cap = max_terms or (max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
                         if x > 500.0 else 600)
-    c = log_first - offset
-    bits = 0
-    if not -_LOG_RANGE <= c <= _LOG_RANGE:
-        bits = round(c / _LN2)
-        # Both subtractions are exact when |log_first| is small next to
-        # offset.  A weight folded into log_first makes it large; then they
-        # round at the size of log_first's own rounding error, so either way
-        # the reduced exponent is as accurate as log_first.
-        c = ((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO
-    total = term = math.exp(c)
+    bits = round((log_first - offset) / _LN2)
+    # Both subtractions are exact when |log_first| is small next to offset;
+    # else they round at the size of log_first's own rounding error.
+    total = term = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
     small = 0
     for k in range(cap - 1):
         q = ratio(k)
@@ -151,35 +143,32 @@ def unscale(scaled: float, offset: float, name: str) -> float:
                   bits, name)
 
 
-def _check_pfq_params(a: Sequence[float], b: Sequence[float], z: float) -> None:
-    if not all(map(math.isfinite, [*a, *b, z])):
-        raise DomainError(f"pFq requires finite parameters and z, got {a}, {b}, {z}")
-    for bj in b:
-        if bj <= 0.0 and bj == int(bj):
-            raise DomainError(
-                f"denominator parameter {bj} is zero or a negative integer"
-            )
-    if len(a) > len(b) + 1:
-        raise DomainError(f"pFq requires p <= q+1, got p={len(a)}, q={len(b)}")
-    if len(a) == len(b) + 1 and abs(z) >= 1.0:
-        raise DomainError(f"p = q+1 series only converges for |z| < 1, got z={z}")
-
-
-def pfq(
-    numerator_params: Sequence[float],
-    denominator_params: Sequence[float],
-    z: float,
-) -> SeriesEval:
+def pfq(numerator_params: Sequence[float], denominator_params: Sequence[float],
+        z: float) -> SeriesEval:
     """Generalized hypergeometric series pFq(a1..ap; b1..bq; z).
 
     Summed term by term via the ratio recurrence
     t_{k+1}/t_k = prod(a_i+k)/prod(b_j+k) * z/(k+1).
     """
+    return pfq_weighted(numerator_params, denominator_params, z, 0.0)
+
+
+def pfq_weighted(numerator_params: Sequence[float], denominator_params: Sequence[float],
+                 z: float, log_weight: float) -> SeriesEval:
+    """exp(log_weight) * pFq, the weight in the log of the first term."""
     a = [float(v) for v in numerator_params]
     b = [float(v) for v in denominator_params]
-    _check_pfq_params(a, b, z)
+    if not all(map(math.isfinite, [*a, *b, z])):
+        raise DomainError(f"pFq requires finite parameters and z, got {a}, {b}, {z}")
+    for bj in b:
+        if bj <= 0.0 and bj == int(bj):
+            raise DomainError(f"denominator parameter {bj} is zero or a negative integer")
+    if len(a) > len(b) + 1:
+        raise DomainError(f"pFq requires p <= q+1, got p={len(a)}, q={len(b)}")
+    if len(a) == len(b) + 1 and abs(z) >= 1.0:
+        raise DomainError(f"p = q+1 series only converges for |z| < 1, got z={z}")
     if z == 0.0:
-        return SeriesEval(1.0, 0.0, 1)
+        return SeriesEval(math.exp(log_weight), 0.0, 1)
 
     def ratio(k: int) -> float:
         num = 1.0
@@ -191,7 +180,7 @@ def pfq(
         return num / den * z / (k + 1.0)
 
     # q = p+1 terms peak near k = sqrt|z|, as those of a series in 2 sqrt|z|
-    return sum_series(0.0, ratio, 0.0, "pFq series", 2.0 * math.sqrt(abs(z)))
+    return sum_series(log_weight, ratio, 0.0, "pFq series", 2.0 * math.sqrt(abs(z)))
 
 
 def struve_l(nu: float, x: float) -> SeriesEval:
@@ -305,13 +294,6 @@ def _struve_asymptotic(
     return SeriesEval(_ldexp(total, bits, name), math.ldexp(err, bits), terms)
 
 
-def _log_gser(s: float, z: float) -> float:
-    # log of the series form of P(s, z); valid for z < s+1.
-    out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0,
-                     "incomplete gamma series", max_terms=_INCGAMMA_CAP)
-    return s * math.log(z) - z - log_gamma(s) + math.log(out.value)
-
-
 def _gcf_q(s: float, z: float) -> float:
     # Upper regularized Q(s, z) by modified Lentz; valid for z >= s+1.
     tiny = 1e-300
@@ -354,6 +336,8 @@ def log_lower_incomplete_gamma(s: float, z: float) -> float:
         raise DomainError(f"log_lower_incomplete_gamma needs finite z > 0, got z={z}")
     if not 0.0 < s < math.inf:
         raise DomainError(f"log_lower_incomplete_gamma needs finite s > 0, got s={s}")
-    if z < s + 1.0:
-        return _log_gser(s, z) + log_gamma(s)
+    if z < s + 1.0:  # z^s e^-z sum z^k / (s (s+1) ... (s+k))
+        out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0,
+                         "incomplete gamma series", max_terms=_INCGAMMA_CAP)
+        return s * math.log(z) - z + math.log(out.value)
     return math.log1p(-_gcf_q(s, z)) + log_gamma(s)

@@ -42,6 +42,7 @@ from struveint.bounds import (
     lower_bi5,
     upper_bi3,
 )
+from struveint.gridcheck import lower_bound_rates, rate_margin
 from struveint.integrals import (
     IntegralSpec,
     integral_closed_form,
@@ -274,26 +275,29 @@ def test_criterion_5_tightness():
     * bi5: e^(-gamma x) L_nu(x)/x^nu carries 1 - mu/x, so c = p/(1 - gamma).
 
     The check keeps ratio <= 1 and asks x (1 - ratio) to lie within a
-    relative 10/x of c_B, a bound on the O(x^-2) term.
+    relative 10/x of c_B, a bound on the O(x^-2) term; the rule and the
+    c_B are gridcheck.rate_margin and gridcheck.lower_bound_rates, which
+    struveint verify applies too.
     """
     violations = []
     checked = 0
     x = 300.0
     gamma = 0.5
     for nu in (0.0, 1.0):
-        p = nu + 0.5
         undamped = integral_quadrature(IntegralSpec(0.0, nu, 0.0, x)).value
         damped = integral_quadrature(IntegralSpec(gamma, nu, 0.0, x)).value
         ratios = {
-            ("bi1", 0.0, p): lower_bi1(nu, x) / undamped,
-            ("bi2", 0.0, 2.0 * p): lower_bi2(nu, 0.0, x) / undamped,
-            ("bi4", gamma, p * gamma / (1.0 - gamma)): lower_bi4(gamma, nu, x) / damped,
-            ("bi5", gamma, p / (1.0 - gamma)): lower_bi5(gamma, nu, x) / damped,
+            ("bi1", 0.0): lower_bi1(nu, x) / undamped,
+            ("bi2", 0.0): lower_bi2(nu, 0.0, x) / undamped,
+            ("bi4", gamma): lower_bi4(gamma, nu, x) / damped,
+            ("bi5", gamma): lower_bi5(gamma, nu, x) / damped,
         }
-        for (name, g, rate), ratio in ratios.items():
+        rates = lower_bound_rates(nu, gamma)
+        for (name, g), ratio in ratios.items():
             checked += 1
+            rate = rates[name]
             shortfall = x * (1.0 - ratio)
-            if ratio > 1.0 + 1e-12 or abs(shortfall - rate) > rate * 10.0 / x:
+            if ratio > 1.0 + 1e-12 or rate_margin(ratio, x, rate) < 0.0:
                 violations.append(
                     f"{name} ratio at (gamma={g:g}, nu={nu:g}, x={x:g}) is "
                     f"{ratio:.7f}: x(1 - ratio) = {shortfall:.5f}, "

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import rel_err
 from struveint.bounds import (
+    BoundCoefficients,
     bound_report,
     coefficients,
     corollary_bounds,
@@ -508,6 +509,68 @@ def test_bounds_near_dbl_max_are_right_or_overflow(case):
                     call(x)
             else:
                 assert float(abs((call(x) - want) / want)) < 1e-12, x
+
+
+def _mp_closed_form(mp, nu, x):
+    # the undamped n = 0 integral at order nu, its 2F3 closed form
+    x = mp.mpf(x)
+    return x**2 / (mp.sqrt(mp.pi) * 2 ** (nu + 1) * mp.gamma(nu + 1.5)) * mp.hyper(
+        [1, 1], [1.5, 2, nu + 1.5], x**2 / 4
+    )
+
+
+def _mp_bi4_bi5(mp, gamma, nu, x):
+    # bi4 and bi5 at order nu from their defining formulas
+    x, gamma = mp.mpf(x), mp.mpf(gamma)
+    u = gamma * x
+    front = 1 / (mp.sqrt(mp.pi) * gamma * 2**nu * mp.gamma(nu + 1.5))
+    bi4 = mp.exp(-u) * _mp_closed_form(mp, nu, x) - (1 - (1 + u) * mp.exp(-u)) * front
+    bi5 = mp.exp(-u) * mp.struvel(nu, x) / x**nu + (1 + u) * mp.expm1(-u) * front
+    return bi4 / (1 - gamma), bi5 / (1 - gamma)
+
+
+# Gamma(nu + 3/2) or the 2F3 series alone is beyond binary64 at these
+# points, and so is exp(-(1-gamma)x) times the bound's x^-nu
+LARGE_ORDER = {
+    "bi2-200-2000": (lambda: lower_bi2(200.0, 0.0, 2000.0),
+                     lambda mp: _mp_bi2_bi3(mp, 200, 0, 2000)[0]),
+    "bi3-200-2000": (lambda: upper_bi3(200.0, 0.0, 2000.0),
+                     lambda mp: _mp_bi2_bi3(mp, 200, 0, 2000)[1]),
+    "bi4-200-3000": (lambda: lower_bi4(0.5, 200.0, 3000.0),
+                     lambda mp: _mp_bi4_bi5(mp, 0.5, 200, 3000)[0]),
+    "bi5-200-3000": (lambda: lower_bi5(0.5, 200.0, 3000.0),
+                     lambda mp: _mp_bi4_bi5(mp, 0.5, 200, 3000)[1]),
+    "closed-form-200-2000": (lambda: integral_closed_form(200.0, 2000.0),
+                             lambda mp: _mp_closed_form(mp, 200, 2000)),
+    "corollary-middle-0.6-712": (lambda: corollary_middle(0.6, 712.0),
+                                 lambda mp: 712 ** mp.mpf(-0.4) * _mp_closed_form(mp, -0.4, 712)),
+    "corollary-middle-0.6-713": (lambda: corollary_middle(0.6, 713.0),
+                                 lambda mp: 713 ** mp.mpf(-0.4) * _mp_closed_form(mp, -0.4, 713)),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_ORDER))
+def test_large_order_bounds_match_mpmath(case):
+    mp = pytest.importorskip("mpmath")
+    call, reference = LARGE_ORDER[case]
+    got = call()
+    with mp.workdps(30):
+        want = reference(mp)
+        assert float(abs((got - want) / want)) < 1e-12
+
+
+def test_coefficients_past_gamma_overflow_match_mpmath():
+    # Gamma(202.5) is beyond binary64; the coefficients are below its
+    # smallest value
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        root_pi, two, g52, g92 = mp.sqrt(mp.pi), mp.mpf(2), mp.gamma(202.5), mp.gamma(204.5)
+        want = BoundCoefficients(
+            float(401 / (root_pi * two**202 * 2 * 201 * g52)),
+            float(401 * 403 / (root_pi * two**204 * 1 * 4 * 203 * g92)),
+            float(401 / (root_pi * two**201 * 1 * 2 * g52)),
+        )
+    assert coefficients(200.0, 0.0) == want
 
 
 @pytest.mark.parametrize("bound", [0, 1], ids=["bi2", "bi3"])

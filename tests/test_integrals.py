@@ -316,6 +316,34 @@ def test_power_series_past_700_matches_mpmath(x):
         assert float(abs((got - want) / want)) < 1e-13
 
 
+def test_scaled_power_series_at_500_matches_mpmath():
+    # the first term's exponent is reduced exactly whatever its size; it
+    # was rounded once below 700, which cost 2e-14 here
+    with mpmath.workdps(40):
+        x = mpmath.mpf(500)
+        want = (mpmath.exp(-x) * x**2 / (mpmath.sqrt(mpmath.pi) * 2 * mpmath.gamma(1.5))
+                * mpmath.hyper([1, 1], [1.5, 2, 1.5], x**2 / 4))
+        got = integral_power_series_scaled(0.0, 0.0, 500.0).value
+        assert float(abs((got - want) / want)) < 2e-15
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [IntegralSpec(0.0, 200.0, 0.0, 2000.0), IntegralSpec(0.1, 800.0, 0.0, 8000.0)],
+    ids=str,
+)
+def test_underflowed_scaled_integral_is_not_zero(spec):
+    # the integral is at least bi2 = 8.9e201 for the first spec and
+    # 6.8e-16 on [7000, 8000] alone for the second, but exp(-(1-gamma)x)
+    # times it is below the smallest double: the result is unknown, not 0
+    for call in (lambda: integral_quadrature(spec).value,
+                 lambda: log_integral_quadrature(spec)):
+        with pytest.raises(ToleranceNotMetError) as info:
+            call()
+        assert info.value.value == 0.0
+        assert info.value.abs_error_estimate == math.inf
+
+
 def test_power_series_cap_grows_with_x():
     # past x ~ 500 the term cap x/2 + 12 sqrt(x) + 80 exceeds 600; this
     # series needs more than 600 terms and converges only under the grown cap

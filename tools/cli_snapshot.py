@@ -8,16 +8,18 @@ script) on:
 - ``verify`` as CSV and JSON, on the default grid, on the grids of
   ``perfbench/workloads.verify_grids`` for seeds 1, 41 and 45, and on
   the default grid with ``x_values`` [1e-170, 1e-160], where most
-  integrals underflow to 0;
+  integrals underflow to 0, and with ``tolerances`` setting
+  ``tightness_low`` (an unknown tolerance);
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
   x = 705 and 720 (either side of where L_0 leaves binary64) and at
   (nu, x) = (5, 0.0209) (where the rounding of the first term's
   exponent dominates the series estimate), ``eval struve-l-scaled`` at
   (nu, x) = (10, 1e4) and (-1.4, 35), ``eval integral`` at x = 300
-  (these three from a large-x expansion) and at gamma = nu = n = 0,
-  x = 712 (past exp(709), still below the largest double), and
-  ``--version``.
+  (these three from a large-x expansion), at gamma = nu = n = 0,
+  x = 712 (past exp(709), still below the largest double) and at
+  gamma = n = 0, nu = 200, x = 2000 (whose exp(-x)-scaled value
+  underflows), and ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -42,7 +44,11 @@ from perfbench import workloads  # noqa: E402
 VERIFY_SEEDS = (1, 41, 45)
 
 #: Extra verify grids by name: config overrides of the default grid.
-EXTRA_GRIDS = {"tiny-x": {"x_values": [1e-170, 1e-160]}}
+EXTRA_GRIDS = {
+    "tiny-x": {"x_values": [1e-170, 1e-160]},
+    # the large-x checks take no tolerance: this config is rejected
+    "tightness-low": {"tolerances": {"tightness_low": 0.99}},
+}
 
 README_EXAMPLES = {
     "eval-struve-l": ["eval", "struve-l", "--nu", "0", "--x", "1"],
@@ -58,6 +64,8 @@ README_EXAMPLES = {
                           "--x", "300"],
     "eval-integral-712": ["eval", "integral", "--gamma", "0", "--nu", "0", "--n", "0",
                           "--x", "712"],
+    "eval-integral-nu200": ["eval", "integral", "--gamma", "0", "--nu", "200", "--n", "0",
+                            "--x", "2000"],
     "dconst": ["dconst", "--nu", "0", "--n", "0"],
     "version": ["--version"],
 }
