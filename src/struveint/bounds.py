@@ -20,6 +20,7 @@ from .exceptions import BoundNotApplicableError, DomainError, DSolverError
 from .integrals import (
     IntegralSpec,
     _damping_residual,
+    _expansion_scaled,
     _power_series,
     closed_form_times_power,
     integral_power_series,
@@ -28,6 +29,7 @@ from .integrals import (
 )
 from .specfun import (
     SQRT_PI,
+    UNSCALE_MAX_OFFSET,
     log_gamma,
     log_lower_incomplete_gamma,
     struve_l_scaled,
@@ -141,14 +143,22 @@ def _bi3_scaled(nu: float, n: float, x: float, offset: float) -> float:
             + (coefs.b * x ** (n + 4.0) - coefs.c * x ** (n + 2.0)) * math.exp(-offset))
 
 
-def _leave(scaled, gamma: float, nu: float, x: float, name: str) -> float:
-    # exp((1-gamma)x - k) scaled(k), restoring fl((1-gamma)x)'s rounding
-    # (x < 1e300).  The whole k in [0, (1-gamma)x] near log x^nu keeps a
-    # bound's x^-nu from underflowing it, and leaves offset - k exact.
+def _leave(scaled, gamma: float, nu: float, x: float, name: str,
+           power: float = 0.0) -> float:
+    # x^power exp((1-gamma)x - k) scaled(k), restoring fl((1-gamma)x)'s
+    # rounding (x < 1e300).  The whole k in [0, (1-gamma)x] near log x^nu
+    # keeps a bound's x^-nu from underflowing it.  The whole part j of
+    # log x^power joins the offset (offset - k + j = offset where j = k),
+    # its rest multiplies.  Past unscale's clamp any nonzero value overflows.
+    log_x = math.log(x)
     offset = (1.0 - gamma) * x
-    k = float(math.floor(max(0.0, min(nu * math.log(x), offset))))
-    fix = math.exp(_damping_residual(gamma, x, offset)) if gamma and x < 1e300 else 1.0
-    return unscale(scaled(k) * fix, offset - k, name)
+    k = float(math.floor(max(0.0, min(nu * log_x, offset))))
+    j = math.floor(power * log_x)
+    lift = offset - k + j
+    if lift > UNSCALE_MAX_OFFSET:
+        raise OverflowError(f"{name} overflows binary64")
+    residual = _damping_residual(gamma, x, offset) if gamma and x < 1e300 else 0.0
+    return unscale(scaled(k) * math.exp(power * log_x - j + residual), lift, name)
 
 
 def lower_bi2(nu: float, n: float, x: float) -> float:
@@ -215,16 +225,17 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
 
     Tends to 0 as x drops to 0 and to 1 as x grows; its supremum is the
     constant D.  The exp(x) growth cancels analytically by pairing the
-    scaled integral with the scaled Struve value.
+    scaled integral with the scaled Struve value.  The Gamma factors of
+    both series cancel too: with T_k > 0 the terms of L_{nu+n}(x), the
+    ratio is x sum T_k/(n+2k+2) / sum T_k <= x/(n+2).  At large x the
+    integrated Hankel expansion gives x^nu times the integral in O(1).
     """
     _check_ratio_domain(nu, n, "ratio_fn")
     if x <= 0.0:
         raise DomainError(f"ratio_fn requires x > 0, got x={x}")
-    return (
-        x**nu
-        * integral_power_series_scaled(nu, n, x).value
-        / struve_l_scaled(nu + n, x).value
-    )
+    large = _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu)
+    top = large[0] if large else x**nu * integral_power_series_scaled(nu, n, x).value
+    return top / struve_l_scaled(nu + n, x).value
 
 
 def _golden_max(f, a: float, b: float, xtol: float) -> float:
@@ -254,13 +265,20 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
     log_lo = math.log(D_SCAN_LO)
     step = (math.log(D_SCAN_HI) - log_lo) / (D_SCAN_POINTS - 1)
     xs = [math.exp(log_lo + i * step) for i in range(D_SCAN_POINTS)]
-    vals = [ratio_fn(nu, n, x) for x in xs]
-    best = max(range(D_SCAN_POINTS), key=vals.__getitem__)
+    # Downwards from the top: below x = (n+2) top no point can beat top,
+    # as ratio_fn <= x/(n+2).  Ties keep the lowest index.
+    best, top = D_SCAN_POINTS - 1, ratio_fn(nu, n, xs[-1])
+    for i in range(D_SCAN_POINTS - 2, -1, -1):
+        if xs[i] < (n + 2.0) * top:
+            break
+        val = ratio_fn(nu, n, xs[i])
+        if val >= top:
+            best, top = i, val
     if best == 0 or best == D_SCAN_POINTS - 1:
         edge = "left" if best == 0 else "right"
         raise DSolverError(
             f"ratio scan found no interior maximum for nu={nu}, n={n}: "
-            f"boundary supremum {vals[best]:.6f} at the {edge} edge "
+            f"boundary supremum {top:.6f} at the {edge} edge "
             f"x={xs[best]:g} of [{D_SCAN_LO:g}, {D_SCAN_HI:g}]"
         )
     argmax = _golden_max(
@@ -272,10 +290,11 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
 def d_constant(nu: float, n: float) -> DConstant:
     """Supremum of ratio_fn over x > 0.
 
-    A 200-point log-grid scan brackets the interior maximum, which a
-    golden-section refinement then pins to D_XTOL in x.  Results are
-    memoized per (nu, n); concurrent first calls may duplicate the scan
-    but always produce identical values.
+    A 200-point log grid, scanned from its top down to where the bound
+    ratio_fn <= x/(n+2) rules out the rest, brackets the interior maximum,
+    which a golden-section refinement then pins to D_XTOL in x.  Results
+    are memoized per (nu, n); concurrent first calls may duplicate the
+    scan but always produce identical values.
     """
     _check_ratio_domain(nu, n, "d_constant")
     return _d_constant_cached(float(nu), float(n))
@@ -336,9 +355,9 @@ def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
     """Two-sided bounds on corollary_middle: x^(nu-1) times bi2 and bi3
     at order nu-1, n = 0, so built from L_nu and L_{nu+2}."""
     _check_corollary_domain(nu, x)
-    scale = x ** (nu - 1.0)
-    return (unscale(scale * _bi2_scaled(nu - 1.0, 0.0, x, x), x, "corollary_bounds"),
-            unscale(scale * _bi3_scaled(nu - 1.0, 0.0, x, x), x, "corollary_bounds"))
+    return tuple(_leave(lambda k: body(nu - 1.0, 0.0, x, x - k), 0.0, nu - 1.0, x,
+                        "corollary_bounds", nu - 1.0)
+                 for body in (_bi2_scaled, _bi3_scaled))
 
 
 def bound_report(spec: IntegralSpec) -> BoundReport:

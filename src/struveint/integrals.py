@@ -140,10 +140,10 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
 
 
 def _expansion_scaled(
-    spec: IntegralSpec, offset: float
+    spec: IntegralSpec, offset: float, power: float = 0.0
 ) -> tuple[float, float, int, float] | None:
-    """exp(-offset) times the integral from its large-x expansion, as
-    (value, error, 0 subdivisions, offset); None where GK15 must be used.
+    """x^power exp(-offset) times the integral from its large-x expansion,
+    as (value, error, 0 subdivisions, offset); None where GK15 must be used.
 
     The Hankel expansion of I_mu, mu = nu + n (DLMF 10.40.1), integrated
     term by term (Olver 1974, ch. 3) gives lead * sum of u_m, with lead
@@ -184,11 +184,12 @@ def _expansion_scaled(
             break
     else:
         return None
-    log_lead = log_asymptotic_integral(spec, offset) + _damping_residual(gamma, x, offset)
+    log_lead = (log_asymptotic_integral(spec, offset, power)
+                + _damping_residual(gamma, x, offset))
     lead = math.exp(log_lead)
     value = lead * total
     # two units of roundoff per unit of each log term and per summed term
-    rounding = 4.5e-16 * (abs(p) * log_x + abs(log_lead) + m + 2.0)
+    rounding = 4.5e-16 * (abs(p - power) * log_x + abs(log_lead) + m + 2.0)
     err = lead * (v + rounding) + 2.0 * math.exp(log_lead + gap)
     if not err <= QUAD_REL_TOL * value:
         return None
@@ -342,15 +343,16 @@ def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
     return SeriesEval(out.value, err, out.terms_used)
 
 
-def log_asymptotic_integral(spec: IntegralSpec, offset: float = 0.0) -> float:
-    """Natural log of the leading large-x asymptote of the damped integral,
+def log_asymptotic_integral(spec: IntegralSpec, offset: float = 0.0,
+                            power: float = 0.0) -> float:
+    """Natural log of x^power times the damped integral's leading asymptote,
 
-        x^(-nu-1/2) exp((1-gamma)x) / (sqrt(2 pi) (1-gamma)),
+        x^(power-nu-1/2) exp((1-gamma)x) / (sqrt(2 pi) (1-gamma)),
 
     less offset; the tightness checks and the large-x expansion use it."""
     return (
         ((1.0 - spec.gamma) * spec.x - offset)
-        - (spec.nu + 0.5) * math.log(spec.x)
+        - (spec.nu + 0.5 - power) * math.log(spec.x)
         - math.log(SQRT_TWO_PI * (1.0 - spec.gamma))
     )
 

@@ -39,6 +39,8 @@ _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _EPS = math.ulp(1.0)
+#: unscale's offset clamp: past it any nonzero scaled value overflows.
+UNSCALE_MAX_OFFSET = 1500.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def unscale(scaled: float, offset: float, name: str) -> float:
     """exp(offset) * scaled, offset split exactly as bits ln 2 + r (Cody-Waite)
     up to 1500, past which any nonzero product overflows; raises
     OverflowError naming the quantity only when the product is beyond binary64."""
-    offset = 1500.0 if offset > 1500.0 else offset
+    offset = UNSCALE_MAX_OFFSET if offset > UNSCALE_MAX_OFFSET else offset
     bits = round(offset / _LN2)
     return _ldexp(scaled * math.exp((offset - bits * _LN2_HI) - bits * _LN2_LO),
                   bits, name)

@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from conftest import rel_err
+import struveint.bounds as bounds_mod
+from conftest import count_calls, log_grid, rel_err
 from struveint.bounds import (
     BoundCoefficients,
     bound_report,
@@ -26,12 +27,16 @@ from struveint.bounds import (
     upper_bi7,
     upper_bi8,
 )
-from struveint.exceptions import BoundNotApplicableError, DomainError
+from struveint.exceptions import BoundNotApplicableError, DomainError, DSolverError
+from struveint.gridcheck import D_CHECK_PAIRS, GridConfig
 from struveint.integrals import (
     IntegralSpec,
+    _expansion_scaled,
     integral_closed_form,
+    integral_power_series_scaled,
     integral_quadrature,
 )
+from struveint.specfun import struve_l_scaled
 
 DAMPED_HALF_0_0_1 = 0.2419096964687127  # integral at gamma=1/2, nu=n=0, x=1
 
@@ -260,6 +265,97 @@ def test_d_constant_memoized():
 def test_d_constant_domain():
     with pytest.raises(DomainError):
         d_constant(-0.5, 0.0)
+
+
+@pytest.mark.parametrize("nu,n", [(nu, n) for nu in (-0.4, 0.0, 1.0, 3.0, 10.0)
+                                  for n in (-0.9, 0.0, 0.5, 2.0) if nu > -0.5 * (n + 1.0)])
+def test_ratio_below_x_over_n_plus_2(nu, n):
+    # the bound the descending scan stops on: the Gamma factors cancel, so
+    # the ratio is x times a weighted mean of 1/(n+2k+2) <= 1/(n+2)
+    for x in log_grid(1e-3, 500.0, 40):
+        assert ratio_fn(nu, n, x) <= x / (n + 2.0), x
+
+
+def _mp_ratio(mp, nu, n, x):
+    # x^nu / L_{nu+n}(x) times the undamped integral, its positive
+    # termwise series summed by the term ratio
+    nu, n, x = mp.mpf(nu), mp.mpf(n), mp.mpf(x)
+    mu, q2 = nu + n, x * x / 4
+    term = x ** (n + 2) / (n + 2) / (2 ** (mu + 1) * mp.gamma(1.5) * mp.gamma(mu + 1.5))
+    total, k = term, 0
+    while k < x or term > mp.mpf(10) ** -40 * total:
+        term *= q2 * (n + 2 * k + 2) / ((n + 2 * k + 4) * (k + 1.5) * (k + mu + 1.5))
+        total += term
+        k += 1
+    return x**nu * total / mp.struvel(mu, x)
+
+
+@pytest.mark.parametrize("nu,n", [(0.0, 0.0), (3.0, 2.0), (10.0, 0.0)])
+@pytest.mark.parametrize("x", [100.0, 250.0, 500.0])
+def test_ratio_at_large_x_matches_mpmath(nu, n, x):
+    # at 500 the integral comes from the large-x expansion, x^nu in its lead
+    mp = pytest.importorskip("mpmath")
+    if x == 500.0:
+        assert _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) is not None
+    with mp.workdps(30):
+        want = _mp_ratio(mp, nu, n, x)
+        assert float(abs((ratio_fn(nu, n, x) - want) / want)) < 1e-14
+
+
+def _series_ratio(nu, n, x):
+    # ratio_fn from the power series alone, as the full scan used it
+    return (x**nu * integral_power_series_scaled(nu, n, x).value
+            / struve_l_scaled(nu + n, x).value)
+
+
+def _full_scan(nu, n):
+    # the full 200-point scan and max() that the descending scan replaces:
+    # (bracket, D, argmax) or DSolverError
+    xs = log_grid(bounds_mod.D_SCAN_LO, bounds_mod.D_SCAN_HI, bounds_mod.D_SCAN_POINTS)
+    vals = [_series_ratio(nu, n, x) for x in xs]
+    best = max(range(len(xs)), key=vals.__getitem__)
+    if best in (0, len(xs) - 1):
+        edge = "left" if best == 0 else "right"
+        raise DSolverError(
+            f"ratio scan found no interior maximum for nu={nu}, n={n}: "
+            f"boundary supremum {vals[best]:.6f} at the {edge} edge "
+            f"x={xs[best]:g} of [{bounds_mod.D_SCAN_LO:g}, {bounds_mod.D_SCAN_HI:g}]"
+        )
+    bracket = xs[best - 1], xs[best + 1]
+    argmax = bounds_mod._golden_max(lambda x: _series_ratio(nu, n, x), *bracket,
+                                    bounds_mod.D_XTOL)
+    return bracket, _series_ratio(nu, n, argmax), argmax
+
+
+FULL_SCAN_PAIRS = sorted(
+    {(nu, n) for nu in GridConfig().nu_values for n in GridConfig().n_values}
+    | set(D_CHECK_PAIRS)
+    | {(0.5, 1.5), (-0.519290808148034, 0.47813704333253915)}
+)
+
+
+@pytest.mark.parametrize("nu,n", FULL_SCAN_PAIRS)
+def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
+    # the pruned scan and the large-x ratio leave the bracket, D, its
+    # argmax and the edge diagnosis bit for bit as the full scan gave them
+    try:
+        bracket, value, argmax = _full_scan(nu, n)
+    except DSolverError as exc:
+        bracket, failure = None, str(exc)
+    golden = count_calls(monkeypatch, bounds_mod, "_golden_max")
+    bounds_mod._d_constant_cached.cache_clear()
+    try:
+        if bracket is None:
+            with pytest.raises(DSolverError) as info:
+                d_constant(nu, n)
+            assert str(info.value) == failure
+            return
+        d = d_constant(nu, n)
+    finally:
+        bounds_mod._d_constant_cached.cache_clear()
+    assert [(a.hex(), b.hex()) for _, a, b, _ in golden] == [
+        (bracket[0].hex(), bracket[1].hex())]
+    assert (d.value.hex(), d.argmax_x.hex()) == (value.hex(), argmax.hex())
 
 
 def test_d_solver_reports_boundary_supremum(monkeypatch):
@@ -546,6 +642,15 @@ LARGE_ORDER = {
                                  lambda mp: 712 ** mp.mpf(-0.4) * _mp_closed_form(mp, -0.4, 712)),
     "corollary-middle-0.6-713": (lambda: corollary_middle(0.6, 713.0),
                                  lambda mp: 713 ** mp.mpf(-0.4) * _mp_closed_form(mp, -0.4, 713)),
+    # x^(nu-1) alone is beyond binary64: it joins the offset
+    "corollary-lower-150-700": (lambda: corollary_bounds(150.0, 700.0)[0],
+                                lambda mp: 700 ** mp.mpf(149) * _mp_bi2_bi3(mp, 149, 0, 700)[0]),
+    "corollary-upper-150-700": (lambda: corollary_bounds(150.0, 700.0)[1],
+                                lambda mp: 700 ** mp.mpf(149) * _mp_bi2_bi3(mp, 149, 0, 700)[1]),
+    "corollary-lower-120-400": (lambda: corollary_bounds(120.0, 400.0)[0],
+                                lambda mp: 400 ** mp.mpf(119) * _mp_bi2_bi3(mp, 119, 0, 400)[0]),
+    "corollary-upper-120-400": (lambda: corollary_bounds(120.0, 400.0)[1],
+                                lambda mp: 400 ** mp.mpf(119) * _mp_bi2_bi3(mp, 119, 0, 400)[1]),
 }
 
 
@@ -612,15 +717,38 @@ def test_bound_beyond_binary64_still_overflows():
         lambda: lower_bi5(0.5, 0.0, 1e301),
         lambda: lower_bi2(0.0, 0.0, 1e30),
         lambda: corollary_bounds(1.0, 1e30),
+        lambda: corollary_bounds(201.0, 2000.0),
         lambda: integral_quadrature(IntegralSpec(0.5, 0.0, 0.0, 1e30)),
     ],
-    ids=["bi5-1e301", "bi2-1e30", "corollary-1e30", "integral-1e30"],
+    ids=["bi5-1e301", "bi2-1e30", "corollary-1e30", "corollary-201-2000", "integral-1e30"],
 )
 def test_bound_far_beyond_binary64_overflows(call):
     # exp(offset) alone is far past the largest double; these once
     # returned finite negative values (bi5 -1.27e301)
     with pytest.raises(OverflowError, match="overflows binary64$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [("lower_bi4", lambda: lower_bi4(0.5, 0.0, 1e6)),
+     ("upper_bi7", lambda: upper_bi7(0.5, 0.0, 0.5, 1e6))],
+    ids=["bi4-1e6", "bi7-1e6"],
+)
+def test_bound_overflow_decided_before_summing(monkeypatch, name, call):
+    # the offset (1-gamma)x - k = 5e5 is past unscale's clamp, so no
+    # nonzero value survives; the x/2 = 5e5-term series is never summed
+    d_constant(0.0, 0.5)
+    summed = count_calls(monkeypatch, bounds_mod, "_power_series")
+    with pytest.raises(OverflowError, match=f"^{name} overflows binary64$"):
+        call()
+    assert summed == []
+
+
+@pytest.mark.parametrize("nu,x", [(150.0, 700.0), (120.0, 400.0)])
+def test_corollary_brackets_where_plain_power_overflows(nu, x):
+    lower, upper = corollary_bounds(nu, x)
+    assert lower < corollary_middle(nu, x) < upper
 
 
 @pytest.mark.parametrize(

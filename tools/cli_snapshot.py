@@ -19,7 +19,10 @@ script) on:
   (these three from a large-x expansion), at gamma = nu = n = 0,
   x = 712 (past exp(709), still below the largest double) and at
   gamma = n = 0, nu = 200, x = 2000 (whose exp(-x)-scaled value
-  underflows), and ``--version``.
+  underflows), ``dconst`` at (nu, n) = (3, 2) (whose descending ratio
+  scan stops below x = (n+2) D) and at the pair (-0.519290808148034,
+  0.47813704333253915) (whose scan maximum is at the right edge, a
+  ``DSolverError``), and ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -67,6 +70,9 @@ README_EXAMPLES = {
     "eval-integral-nu200": ["eval", "integral", "--gamma", "0", "--nu", "200", "--n", "0",
                             "--x", "2000"],
     "dconst": ["dconst", "--nu", "0", "--n", "0"],
+    "dconst-3-2": ["dconst", "--nu", "3", "--n", "2"],
+    "dconst-right-edge": ["dconst", "--nu", "-0.519290808148034",
+                          "--n", "0.47813704333253915"],
     "version": ["--version"],
 }
 
