@@ -18,9 +18,10 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 
 from .exceptions import DomainError, ToleranceNotMetError
-from .quadrature import adaptive_quadrature
+from .quadrature import _gk15, adaptive_quadrature
 from .specfun import (
     SQRT_PI,
     SQRT_TWO_PI,
@@ -42,9 +43,9 @@ QUAD_MAX_SUBDIVISIONS = 2000
 # Term cap of the large-x expansion.
 _EXPANSION_MAX_TERMS = 100
 
-# Scaled quadratures of the current quadrature_memo() block, or None
-# outside one.
-_MEMO: ContextVar[dict | None] = ContextVar("struveint_quadrature_memo", default=None)
+# Scaled quadratures by spec and GK15 panel tables by (gamma, nu, n) row
+# of the current quadrature_memo() block, or None outside one.
+_MEMO: ContextVar[tuple | None] = ContextVar("struveint_quadrature_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -95,15 +96,31 @@ def _scaled_integrand(spec: IntegralSpec, offset: float, t: float) -> float:
     ).value
 
 
+def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
+                  lo: float, hi: float) -> tuple[float, float]:
+    # One GK15 panel in its own offset form fl((1-gamma) hi), a function of
+    # (gamma, nu, n, lo, hi) that the row's table shares between upper limits,
+    # rescaled by the difference of the two offsets (exact for hi >= x/2).
+    own = (1.0 - spec.gamma) * hi
+    panel = None if row is None else row.get((lo, hi))
+    if panel is None:
+        panel = _gk15(partial(_scaled_integrand, spec, own), lo, hi)
+        if row is not None:
+            row[(lo, hi)] = panel
+    scale = math.exp(own - offset)
+    return panel[0] * scale, panel[1] * scale
+
+
 @contextmanager
 def quadrature_memo():
     """Evaluate each distinct quadrature once inside the with-block.
 
     integral_quadrature and log_integral_quadrature share one entry per
-    spec, from GK15 or from the large-x expansion; the entries are
-    dropped when the block exits, so nothing outlives it.
+    spec, from GK15 or from the large-x expansion, and the GK15 runs of a
+    (gamma, nu, n) row share their panels; the entries are dropped when
+    the block exits, so nothing outlives it.
     """
-    token = _MEMO.set({})
+    token = _MEMO.set(({}, {}))
     try:
         yield
     finally:
@@ -117,14 +134,15 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     Returns (scaled value, scaled error, subdivisions, log offset) with
     true integral = exp(offset) * scaled value.
     """
-    memo = _MEMO.get()
-    if memo is not None and spec in memo:
-        return memo[spec]
+    specs, rows = _MEMO.get() or (None, None)
+    if specs is not None and spec in specs:
+        return specs[spec]
     offset = (1.0 - spec.gamma) * spec.x
     result = _expansion_scaled(spec, offset)
     if result is None:
+        row = None if rows is None else rows.setdefault((spec.gamma, spec.nu, spec.n), {})
         value, err, n = adaptive_quadrature(
-            lambda t: _scaled_integrand(spec, offset, t),
+            partial(_panel_scaled, spec, offset, row),
             0.0,
             spec.x,
             rel_tol=QUAD_REL_TOL,
@@ -134,8 +152,8 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     if result[0] == 0.0 and offset > 1.0:  # unknown, not 0
         raise ToleranceNotMetError(f"integral_quadrature: exp(-{offset:g}) times "
                                    "the integral underflows", 0.0, math.inf, result[2])
-    if memo is not None:
-        memo[spec] = result
+    if specs is not None:
+        specs[spec] = result
     return result
 
 
@@ -250,10 +268,20 @@ def integral_closed_form(nu: float, x: float) -> float:
 
 def closed_form_times_power(nu: float, x: float, power: float) -> float:
     """x^(power-2) integral_closed_form(nu, x) for x > 0: the Gamma factor
-    in the log of the series' first term, x^power left through unscale."""
+    in the log of the series' first term, lifted towards e^-700 by the whole
+    part j of log x^power, whose rest goes through unscale.  The 2F3 terms
+    are positive, so the one near the peak, k(k + nu + 3/2) = x^2/4, decides
+    an overflow of the series before it is summed."""
+    log_x = math.log(x)
     log_front = -math.log(SQRT_PI) - (nu + 1.0) * math.log(2.0) - log_gamma(nu + 1.5)
-    series = pfq_weighted([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x, log_front)
-    return unscale(series.value, power * math.log(x), "integral_closed_form")
+    j = max(0, min(math.floor(power * log_x), math.ceil(-700.0 - log_front)))
+    k = math.floor(0.5 * (math.hypot(nu + 1.5, x) - nu - 1.5))
+    log_peak = (2 * k * log_x - (nu + 2 * k + 2) * math.log(2.0) - math.log(k + 1.0)
+                - log_gamma(k + 1.5) - log_gamma(k + nu + 1.5))  # front times term k
+    if log_peak + j > 710.0:  # past log DBL_MAX = 709.78 by more than the logs' rounding
+        raise OverflowError("pFq series overflows binary64")
+    series = pfq_weighted([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x, log_front + j)
+    return unscale(series.value, power * log_x - j, "integral_closed_form")
 
 
 def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:

@@ -1,8 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals.
 
 A 7-point Gauss rule embedded in a 15-point Kronrod rule drives a
-worst-interval-first bisection loop.  Each call owns its private
-workspace, so concurrent use is safe.
+worst-interval-first bisection loop that splits at powers of two, so
+integrals over [0, x] for any x share their panels near 0.  Each call
+owns its private workspace, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -80,20 +81,28 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return result, err
 
 
+def _split(lo: float, hi: float) -> float:
+    """The largest power of two strictly inside (lo, hi), else the midpoint."""
+    mantissa, exponent = math.frexp(hi)
+    power = math.ldexp(1.0, exponent - (2 if mantissa == 0.5 else 1))
+    return power if lo < power < hi else 0.5 * (lo + hi)
+
+
 def adaptive_quadrature(
-    f: Callable[[float], float],
+    panel: Callable[[float, float], tuple[float, float]],
     a: float,
     b: float,
     rel_tol: float = 1e-12,
     max_subdivisions: int = 2000,
 ) -> tuple[float, float, int]:
-    """Integrate f over [a, b] to the requested tolerance.
+    """Integrate over [a, b] to the requested tolerance from panel(lo, hi),
+    one panel's (integral, error estimate): partial(_gk15, f) for f.
 
     Returns (value, error estimate, subdivisions performed).  Raises
     ToleranceNotMetError, carrying the best estimate, if the subdivision
     budget runs out first.
     """
-    value, err = _gk15(f, a, b)
+    value, err = panel(a, b)
     # heap entries: (-error, tiebreak, a, b, value, error)
     heap = [(-err, 0, a, b, value, err)]
     total = value
@@ -110,7 +119,7 @@ def adaptive_quadrature(
                 subdivisions,
             )
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
+        mid = _split(lo, hi)
         if mid <= lo or mid >= hi:
             raise ToleranceNotMetError(
                 "interval too narrow to split further "
@@ -119,8 +128,8 @@ def adaptive_quadrature(
                 total_err,
                 subdivisions,
             )
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
         total += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         count += 1

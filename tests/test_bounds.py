@@ -10,6 +10,7 @@ import math
 import pytest
 
 import struveint.bounds as bounds_mod
+import struveint.integrals as integrals_mod
 from conftest import count_calls, log_grid, rel_err
 from struveint.bounds import (
     BoundCoefficients,
@@ -642,6 +643,12 @@ LARGE_ORDER = {
                                  lambda mp: 712 ** mp.mpf(-0.4) * _mp_closed_form(mp, -0.4, 712)),
     "corollary-middle-0.6-713": (lambda: corollary_middle(0.6, 713.0),
                                  lambda mp: 713 ** mp.mpf(-0.4) * _mp_closed_form(mp, -0.4, 713)),
+    # 1/(2^nu Gamma(nu+1/2)), about e^-1620 at nu = 300, would underflow
+    # the series' first term: whole powers of x lift it
+    "corollary-middle-300-700": (lambda: corollary_middle(300.0, 700.0),
+                                 lambda mp: 700 ** mp.mpf(299) * _mp_closed_form(mp, 299, 700)),
+    "corollary-middle-250-600": (lambda: corollary_middle(250.0, 600.0),
+                                 lambda mp: 600 ** mp.mpf(249) * _mp_closed_form(mp, 249, 600)),
     # x^(nu-1) alone is beyond binary64: it joins the offset
     "corollary-lower-150-700": (lambda: corollary_bounds(150.0, 700.0)[0],
                                 lambda mp: 700 ** mp.mpf(149) * _mp_bi2_bi3(mp, 149, 0, 700)[0]),
@@ -742,6 +749,15 @@ def test_bound_overflow_decided_before_summing(monkeypatch, name, call):
     summed = count_calls(monkeypatch, bounds_mod, "_power_series")
     with pytest.raises(OverflowError, match=f"^{name} overflows binary64$"):
         call()
+    assert summed == []
+
+
+def test_closed_form_overflow_decided_before_summing(monkeypatch):
+    # the 2F3 term near its peak, k = x/2 = 5e5, is about e^1e6 alone; the
+    # x/2-term series is never summed, and the error names it as before
+    summed = count_calls(monkeypatch, integrals_mod, "pfq_weighted")
+    with pytest.raises(OverflowError, match="^pFq series overflows binary64$"):
+        integral_closed_form(0.0, 1e6)
     assert summed == []
 
 

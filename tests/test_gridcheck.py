@@ -287,6 +287,14 @@ def test_run_verification_matches_each_check_run_alone():
     assert alone == run_verification(GridConfig(**MEMO_GRID))
 
 
+def test_run_verification_shares_gk15_panels_between_upper_limits(monkeypatch):
+    # the x values of a (gamma, nu, n) row share their panels near 0
+    # through the memo's panel table: 1,863 GK15 panels without it
+    panels = count_calls(monkeypatch, integrals_mod, "_gk15")
+    run_verification(GridConfig())
+    assert len(panels) <= 1100
+
+
 def test_run_verification_makes_one_quadrature_per_distinct_spec(monkeypatch):
     # each distinct spec is evaluated once, by GK15 or by the large-x
     # expansion, which returns None where it does not apply

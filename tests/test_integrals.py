@@ -30,7 +30,7 @@ from struveint.integrals import (
     log_integral_quadrature,
     quadrature_memo,
 )
-from struveint.quadrature import adaptive_quadrature
+from struveint.quadrature import _gk15, adaptive_quadrature
 from struveint.specfun import SQRT_PI, struve_l, struve_l_scaled
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -407,7 +407,7 @@ def test_expansion_matches_gk15_on_the_overlap():
                     continue
                 used += 1
                 gk15, _, _ = adaptive_quadrature(
-                    partial(integrals_mod._scaled_integrand, spec, offset),
+                    partial(_gk15, partial(integrals_mod._scaled_integrand, spec, offset)),
                     0.0, spec.x, rel_tol=integrals_mod.QUAD_REL_TOL,
                 )
                 assert rel_err(expansion[0], gk15) < integrals_mod.QUAD_REL_TOL
@@ -487,3 +487,53 @@ def test_quadrature_memo_shares_entries_and_drops_them_on_exit(monkeypatch):
             raise KeyError("abort")
     integral_quadrature(spec)
     assert len(calls) == 4
+    # the GK15 panels of a (gamma, nu, n) row are shared between upper
+    # limits inside the block: every panel of [0, 16] is one of [0, 20]'s
+    panels = count_calls(monkeypatch, integrals_mod, "_gk15")
+    near = IntegralSpec(0.5, 1.0, 0.0, 16.0)
+    with quadrature_memo():
+        integral_quadrature(spec)
+        fresh = len(panels)
+        integral_quadrature(near)
+        assert len(panels) == fresh
+    integral_quadrature(near)
+    assert len(panels) > fresh
+
+
+def _bits(result) -> tuple:
+    return result.value.hex(), result.abs_error_estimate.hex(), result.subdivisions
+
+
+@pytest.mark.parametrize("row", [(0.5, 1.0, 0.5), (0.0, -0.4, 0.5), (0.9, 3.0, 2.0)], ids=str)
+def test_panel_table_returns_what_each_spec_returns_alone(row):
+    # a panel's value depends on (gamma, nu, n, lo, hi) alone, so the
+    # table is a pure cache, whichever upper limit fills it first
+    specs = [IntegralSpec(*row, x) for x in (0.5, 1.0, 5.0, 20.0, 5.7)]
+    alone = [_bits(integral_quadrature(spec)) for spec in specs]
+    ascending = sorted(specs, key=lambda spec: spec.x)
+    for order in (ascending, ascending[::-1]):
+        with quadrature_memo():
+            got = {spec: _bits(integral_quadrature(spec)) for spec in order}
+        assert [got[spec] for spec in specs] == alone
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [IntegralSpec(0.5, 1.0, 0.5, 80.0), IntegralSpec(0.0, 0.0, 0.0, 60.0),
+     IntegralSpec(0.9, 3.0, 2.0, 700.0), IntegralSpec(0.25, -1.2, 0.3, 400.0),
+     IntegralSpec(0.0, -0.9, -0.5, 700.0), IntegralSpec(0.75, -1.1, 0.2, 2400.0),
+     IntegralSpec(0.0, 10.0, 1.5, 150.0)],
+    ids=str,
+)
+def test_rescaled_left_panels_match_mpmath(spec):
+    # (1-gamma)x in [40, 700] where the expansion declines: GK15 runs, and
+    # every panel left of x carries its own offset, rescaled to x's
+    offset = (1.0 - spec.gamma) * spec.x
+    assert integrals_mod._expansion_scaled(spec, offset) is None
+    value, err, subdivisions, _ = integrals_mod._quadrature_scaled(spec)
+    assert subdivisions > 0
+    with mpmath.workdps(30):
+        want = reference_integral(spec.gamma, spec.nu, spec.n, spec.x) * mpmath.exp(-offset)
+        true_err = float(abs(value - want))
+        assert true_err <= 1e-12 * float(want)
+        assert true_err <= err

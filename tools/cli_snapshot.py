@@ -8,8 +8,11 @@ script) on:
 - ``verify`` as CSV and JSON, on the default grid, on the grids of
   ``perfbench/workloads.verify_grids`` for seeds 1, 41 and 45, and on
   the default grid with ``x_values`` [1e-170, 1e-160], where most
-  integrals underflow to 0, and with ``tolerances`` setting
-  ``tightness_low`` (an unknown tolerance);
+  integrals underflow to 0, with ``x_values`` [0.25, 1, 2, 16, 17]
+  (``pow2-x``: powers of two, which are split points of every larger
+  upper limit, so that [0, x] is itself a panel of those quadratures,
+  and 17, just past 16), and with
+  ``tolerances`` setting ``tightness_low`` (an unknown tolerance);
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
   x = 705 and 720 (either side of where L_0 leaves binary64) and at
@@ -49,6 +52,7 @@ VERIFY_SEEDS = (1, 41, 45)
 #: Extra verify grids by name: config overrides of the default grid.
 EXTRA_GRIDS = {
     "tiny-x": {"x_values": [1e-170, 1e-160]},
+    "pow2-x": {"x_values": [0.25, 1.0, 2.0, 16.0, 17.0]},
     # the large-x checks take no tolerance: this config is rejected
     "tightness-low": {"tolerances": {"tightness_low": 0.99}},
 }
