@@ -46,6 +46,7 @@ D_SCAN_HI = 500.0
 D_XTOL = 1e-6
 
 _LN2 = math.log(2.0)
+_DBL_MIN = math.ldexp(1.0, -1022)  # the smallest normal double
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -149,16 +150,23 @@ def _leave(scaled, gamma: float, nu: float, x: float, name: str,
     # rounding (x < 1e300).  The whole k in [0, (1-gamma)x] near log x^nu
     # keeps a bound's x^-nu from underflowing it.  The whole part j of
     # log x^power joins the offset (offset - k + j = offset where j = k),
-    # its rest multiplies.  Past unscale's clamp any nonzero value overflows.
+    # its rest multiplies.  A body that underflows, as at corollary_bounds(300,
+    # 700), takes up to 700 of j (exp(-offset) stays finite) where that makes
+    # it a normal double.  Past unscale's clamp any nonzero value overflows.
     log_x = math.log(x)
     offset = (1.0 - gamma) * x
     k = float(math.floor(max(0.0, min(nu * log_x, offset))))
     j = math.floor(power * log_x)
-    lift = offset - k + j
+    lift, shift = offset - k + j, min(j, 700)
+    value = scaled(k) if lift <= UNSCALE_MAX_OFFSET else 0.0
+    if abs(value) < _DBL_MIN and shift > 0 and lift - shift <= UNSCALE_MAX_OFFSET:
+        lifted = scaled(k + shift)
+        if abs(lifted) >= _DBL_MIN:
+            value, lift = lifted, lift - shift
     if lift > UNSCALE_MAX_OFFSET:
         raise OverflowError(f"{name} overflows binary64")
     residual = _damping_residual(gamma, x, offset) if gamma and x < 1e300 else 0.0
-    return unscale(scaled(k) * math.exp(power * log_x - j + residual), lift, name)
+    return unscale(value * math.exp(power * log_x - j + residual), lift, name)
 
 
 def lower_bi2(nu: float, n: float, x: float) -> float:

@@ -24,8 +24,10 @@ from .exceptions import DomainError, ToleranceNotMetError
 from .quadrature import _gk15, adaptive_quadrature
 from .specfun import (
     SQRT_PI,
+    SCALED_SWITCH_X,
     SQRT_TWO_PI,
     SeriesEval,
+    _struve_series,
     log_gamma,
     log_lower_incomplete_gamma,
     pfq_weighted,
@@ -82,18 +84,18 @@ def integrand(spec: IntegralSpec, t: float) -> float:
     """exp(-gamma t) t^(-nu) L_{nu+n}(t), with the t = 0 limit value 0."""
     if t < 0.0:
         raise DomainError(f"integrand requires t >= 0, got t={t}")
-    return _scaled_integrand(spec, 0.0, t)
+    return _panel_values(spec, 0.0, [t])[0]
 
 
-def _scaled_integrand(spec: IntegralSpec, offset: float, t: float) -> float:
-    # exp(-offset) * integrand(t) in one weighted series: no factor is
-    # formed alone, so none overflows or underflows before the others
-    # multiply it.
-    if t == 0.0:
-        return 0.0
-    return struve_l_weighted(
-        spec.nu + spec.n, t, -spec.nu, (1.0 - spec.gamma) * t - offset, t
-    ).value
+def _panel_values(spec: IntegralSpec, offset: float, ts: list[float]) -> list[float]:
+    # exp(-offset) times the integrand at each node of ts: one power series
+    # pass for those in (0, SCALED_SWITCH_X], struve_l_weighted for the rest.
+    mu, c = spec.nu + spec.n, 1.0 - spec.gamma
+    small = [t for t in ts if 0.0 < t <= SCALED_SWITCH_X]
+    values = _struve_series(mu, -spec.nu, small, [c * t - offset for t in small], small,
+                            "struve_l_weighted")
+    return [next(values) if 0.0 < t <= SCALED_SWITCH_X else 0.0 if t == 0.0
+            else struve_l_weighted(mu, t, -spec.nu, c * t - offset, t).value for t in ts]
 
 
 def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
@@ -104,7 +106,7 @@ def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
     own = (1.0 - spec.gamma) * hi
     panel = None if row is None else row.get((lo, hi))
     if panel is None:
-        panel = _gk15(partial(_scaled_integrand, spec, own), lo, hi)
+        panel = _gk15(partial(_panel_values, spec, own), lo, hi)
         if row is not None:
             row[(lo, hi)] = panel
     scale = math.exp(own - offset)

@@ -45,23 +45,21 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (integral, error estimate)."""
+def _gk15(f: Callable[[list], list], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 7/15 panel of f, nodes list -> values list: (integral, error)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(center)
+    nodes = [center]
+    for xgk in _XGK:
+        dx = half * xgk
+        # clamped: on a panel a few doubles wide the nodes round outside it
+        nodes += (center - dx if center - dx > a else a, center + dx if center + dx < b else b)
+    fc, *values = f(nodes)
+    fv1, fv2 = values[0::2], values[1::2]
     resg = fc * _WG[3]
     resk = fc * _WGK[7]
     resabs = abs(resk)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    for j in range(7):
-        dx = half * _XGK[j]
-        # clamped: on a panel a few doubles wide the nodes round outside it
-        f1 = f(center - dx if center - dx > a else a)
-        f2 = f(center + dx if center + dx < b else b)
-        fv1[j] = f1
-        fv2[j] = f2
+    for j, (f1, f2) in enumerate(zip(fv1, fv2)):
         resk += _WGK[j] * (f1 + f2)
         resabs += _WGK[j] * (abs(f1) + abs(f2))
         if j % 2 == 1:

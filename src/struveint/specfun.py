@@ -5,16 +5,17 @@ incomplete gamma function in log form, generalized hypergeometric
 series, and the modified Struve function of the first kind L_nu in
 plain, exponentially scaled and weighted form (past x = 30 from its
 large-x expansions where they converge).  One kernel, sum_series, sums
-every power series, sets its term cap and raises ConvergenceError (cap
-run out) or OverflowError (sum beyond binary64).  Everything here is a
-pure function of its arguments; there is no shared mutable state.
+every power series but L_mu's (_struve_series, for many x at once, under
+the same rules), sets its term cap and raises ConvergenceError (cap run
+out) or OverflowError (sum beyond binary64).  Everything here is a pure
+function of its arguments; there is no shared mutable state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exceptions import ConvergenceError, DomainError
 
@@ -230,17 +231,48 @@ def struve_l_weighted(
         out = _struve_asymptotic(mu, x, power, log_weight, offset, name)
         if out is not None:
             return out
-    h = 0.5 * x
-    h2 = h * h
+    estimates = []
+    value, = _struve_series(mu, power, [x], [log_weight], [offset], name, estimates)
+    return SeriesEval(value, *estimates[0])
 
-    def ratio(k: int) -> float:
-        return h2 / ((k + 1.5) * (k + mu + 1.5))
 
-    log_first = math.fsum((
-        (mu + 1.0) * math.log(h), power * math.log(x), log_weight,
-        -log_gamma(1.5), -log_gamma(mu + 1.5),
-    ))
-    return sum_series(log_first, ratio, offset, name, x)
+def _struve_series(mu: float, power: float, xs: list, log_weights: list, offsets: list,
+                   name: str, estimates: list | None = None) -> Iterator[float]:
+    """x^power exp(log_weight - offset) L_mu(x) by sum_series' rules for each
+    x > 0 of xs; the positive term ratios (x/2)^2/((k+3/2)(k+mu+3/2)) share
+    denominators and log Gamma(mu+3/2).  Appends (estimate, terms) to estimates."""
+    lg_half, lg_mu = log_gamma(1.5), log_gamma(mu + 1.5)
+    dens = []  # dens[k] = (k + 3/2)(k + mu + 3/2)
+    for x, log_weight, offset in zip(xs, log_weights, offsets):
+        h = 0.5 * x
+        h2 = h * h
+        log_first = math.fsum(((mu + 1.0) * math.log(h), power * math.log(x),
+                               log_weight, -lg_half, -lg_mu))
+        cap = (max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
+               if x > 500.0 else 600)
+        bits = round((log_first - offset) / _LN2)
+        total = term = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
+        small = 0
+        for k in range(cap - 1):
+            if k == len(dens):
+                dens.append((k + 1.5) * (k + mu + 1.5))
+            q = h2 / dens[k]
+            term *= q
+            total += term
+            if q < 1.0 and term <= REL_TERM_TOL * total:
+                small += 1
+                if small == 2:
+                    break
+            else:
+                small = 0
+                if not total < _RESCALE:
+                    total, term, bits = total / _RESCALE, term / _RESCALE, bits + _RESCALE_BITS
+        else:
+            raise ConvergenceError(f"{name} did not converge within {cap} terms")
+        yield _ldexp(total, bits, name)
+        if estimates is not None:
+            units = k + 3 + abs(log_first) + abs(log_first - offset)
+            estimates.append((math.ldexp(2.0 * term + units * _EPS * total, bits), k + 2))
 
 
 def _struve_asymptotic(

@@ -23,3 +23,8 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def per_node(f):
+    """A GK15 integrand from the scalar f: the list of f at each node."""
+    return lambda ts: [f(t) for t in ts]

@@ -658,6 +658,16 @@ LARGE_ORDER = {
                                 lambda mp: 400 ** mp.mpf(119) * _mp_bi2_bi3(mp, 119, 0, 400)[0]),
     "corollary-upper-120-400": (lambda: corollary_bounds(120.0, 400.0)[1],
                                 lambda mp: 400 ** mp.mpf(119) * _mp_bi2_bi3(mp, 119, 0, 400)[1]),
+    # x^(1-nu) L_nu(x), about e^-1326 at (300, 700), would underflow the
+    # scaled bodies once k stops at the offset x: whole powers of x lift them
+    "corollary-lower-300-700": (lambda: corollary_bounds(300.0, 700.0)[0],
+                                lambda mp: 700 ** mp.mpf(299) * _mp_bi2_bi3(mp, 299, 0, 700)[0]),
+    "corollary-upper-300-700": (lambda: corollary_bounds(300.0, 700.0)[1],
+                                lambda mp: 700 ** mp.mpf(299) * _mp_bi2_bi3(mp, 299, 0, 700)[1]),
+    "corollary-lower-250-600": (lambda: corollary_bounds(250.0, 600.0)[0],
+                                lambda mp: 600 ** mp.mpf(249) * _mp_bi2_bi3(mp, 249, 0, 600)[0]),
+    "corollary-upper-250-600": (lambda: corollary_bounds(250.0, 600.0)[1],
+                                lambda mp: 600 ** mp.mpf(249) * _mp_bi2_bi3(mp, 249, 0, 600)[1]),
 }
 
 
@@ -761,7 +771,8 @@ def test_closed_form_overflow_decided_before_summing(monkeypatch):
     assert summed == []
 
 
-@pytest.mark.parametrize("nu,x", [(150.0, 700.0), (120.0, 400.0)])
+@pytest.mark.parametrize("nu,x", [(150.0, 700.0), (120.0, 400.0), (300.0, 700.0),
+                                  (250.0, 600.0)])
 def test_corollary_brackets_where_plain_power_overflows(nu, x):
     lower, upper = corollary_bounds(nu, x)
     assert lower < corollary_middle(nu, x) < upper

@@ -295,6 +295,14 @@ def test_run_verification_shares_gk15_panels_between_upper_limits(monkeypatch):
     assert len(panels) <= 1100
 
 
+def test_run_verification_evaluates_its_panels_through_gk15(monkeypatch):
+    # the bound above also holds with no panel at all: the default grid's
+    # quadratures evaluate 1,017 GK15 panels, each through integrals._gk15
+    panels = count_calls(monkeypatch, integrals_mod, "_gk15")
+    run_verification(GridConfig())
+    assert len(panels) >= 1000
+
+
 def test_run_verification_makes_one_quadrature_per_distinct_spec(monkeypatch):
     # each distinct spec is evaluated once, by GK15 or by the large-x
     # expansion, which returns None where it does not apply

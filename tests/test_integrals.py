@@ -16,7 +16,7 @@ import pytest
 
 import struveint.integrals as integrals_mod
 import struveint.specfun as specfun_mod
-from conftest import count_calls, rel_err
+from conftest import count_calls, per_node, rel_err
 from struveint.exceptions import ConvergenceError, DomainError, ToleranceNotMetError
 from struveint.integrals import (
     IntegralSpec,
@@ -31,7 +31,7 @@ from struveint.integrals import (
     quadrature_memo,
 )
 from struveint.quadrature import _gk15, adaptive_quadrature
-from struveint.specfun import SQRT_PI, struve_l, struve_l_scaled
+from struveint.specfun import SQRT_PI, struve_l, struve_l_scaled, struve_l_weighted
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.reference import integral as reference_integral  # noqa: E402
@@ -407,7 +407,7 @@ def test_expansion_matches_gk15_on_the_overlap():
                     continue
                 used += 1
                 gk15, _, _ = adaptive_quadrature(
-                    partial(_gk15, partial(integrals_mod._scaled_integrand, spec, offset)),
+                    partial(_gk15, partial(integrals_mod._panel_values, spec, offset)),
                     0.0, spec.x, rel_tol=integrals_mod.QUAD_REL_TOL,
                 )
                 assert rel_err(expansion[0], gk15) < integrals_mod.QUAD_REL_TOL
@@ -515,6 +515,53 @@ def test_panel_table_returns_what_each_spec_returns_alone(row):
         with quadrature_memo():
             got = {spec: _bits(integral_quadrature(spec)) for spec in order}
         assert [got[spec] for spec in specs] == alone
+
+
+def _panel_cases():
+    # (gamma, nu, n, lo, hi): the edges first, then a seeded sample.  The
+    # panel [0, 5e-324] has every node at 0; (20, 0) at [30, 40] has nodes
+    # past 30 where the large-x expansion declines (mu = 20, t = 35), and
+    # (1, 0) there nodes where it is taken; mu = -1.5 + 1e-9 is next to
+    # the order's bound.
+    cases = [(0.0, 0.0, 0.0, 0.0, 5e-324), (0.5, 1.0, 0.5, 0.0, 1.0),
+             (0.0, 20.0, 0.0, 30.0, 40.0), (0.95, 1.0, 0.0, 30.0, 40.0),
+             (0.95, -0.5, -0.99, 25.0, 35.0), (0.0, -1.5 + 1e-9, 0.0, 0.0, 2.0),
+             (0.0, -1.0, -0.5 + 1e-9, 0.0, 30.0), (0.5, 3.0, 2.0, 16.0, 80.0)]
+    rng = random.Random("GK15 panel pass")
+    for _ in range(150):
+        gamma = rng.choice([0.0, 0.95, rng.uniform(0.0, 0.99)])
+        n = rng.choice([0.0, 0.5, rng.uniform(-0.99, 3.0)])
+        nu = rng.uniform(-1.49 - n, min(25.0, 4.0 - n))
+        lo = rng.choice([0.0, rng.uniform(0.0, 60.0)])
+        cases.append((gamma, nu, n, lo, lo + rng.choice([1e-9, 0.5, 8.0, 40.0])))
+    return cases
+
+
+def test_panel_pass_equals_per_node_values():
+    # the nodes up to 30 share one series pass, the others go one by one,
+    # and every value is the one-node integrand's; so is the panel
+    routes = {"asymptotic": 0, "series past 30": 0}
+    for gamma, nu, n, lo, hi in _panel_cases():
+        spec = IntegralSpec(gamma, nu, n, 2.0 * hi)
+        offset = (1.0 - gamma) * hi
+        def one_node(t):
+            return 0.0 if t == 0.0 else struve_l_weighted(
+                nu + n, t, -nu, (1.0 - gamma) * t - offset, t).value
+
+        nodes = []
+        _gk15(lambda ts: nodes.extend(ts) or [0.0] * len(ts), lo, hi)
+        got = integrals_mod._panel_values(spec, offset, nodes)
+        assert [v.hex() for v in got] == [one_node(t).hex() for t in nodes], \
+            (gamma, nu, n, lo, hi)
+        panel = integrals_mod._panel_scaled(spec, offset, None, lo, hi)
+        assert [v.hex() for v in panel] == [
+            v.hex() for v in _gk15(per_node(one_node), lo, hi)]
+        for t in nodes:
+            if t > 30.0:
+                route = specfun_mod._struve_asymptotic(
+                    nu + n, t, -nu, (1.0 - gamma) * t - offset, t, "")
+                routes["asymptotic" if route else "series past 30"] += 1
+    assert min(routes.values()) >= 10, routes
 
 
 @pytest.mark.parametrize(

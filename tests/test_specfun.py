@@ -447,6 +447,98 @@ def test_scaled_matches_mpmath_far_out(nu, x):
     assert float(abs((struve_l_scaled(nu, x).value - want) / want)) <= 2e-12
 
 
+# (mu, x, power, log_weight, offset): (value, estimate, terms_used), recorded
+# from the one-argument sum_series path that the shared series pass replaced.
+# (1, 300), (-0.5, 45), (10, 1e4) and (0, 705) take the large-x expansion,
+# (20, 35) is past x = 30 where it declines, and past x = 500 the term cap
+# grows with x (797 terms at x = 2000).  mu = 0.7071, -1.2345 and 2.718281828
+# make k + mu + 3/2 round, so the order of that sum is pinned too.
+WEIGHTED_PINS = {
+    (0.0, 1.0, 0.0, 0.0, 0.0):
+        ("0x1.6ba4feaf9ec41p-1", "0x1.2542e497df6ecp-49", 11),
+    (0.0, 25.0, 0.0, 0.0, 0.0):
+        ("0x1.5830cd5e70d8dp+32", "0x1.f4fbbaf032dc2p-15", 40),
+    (5.0, 0.0209, 0.0, 0.0, 0.0):
+        ("0x1.6fce27453ec13p-48", "0x1.a27a7f654b101p-94", 6),
+    (-1.4, 0.3, 0.0, 0.0, 0.0):
+        ("0x1.2aa27e51862f5p-2", "0x1.dbce6153be7fbp-51", 9),
+    (-1.4999999, 2.0, 1.4999999, 0.0, 0.0):
+        ("0x1.8e0d451d779a4p+1", "0x1.175b7794afd10p-45", 14),
+    (0.5, 1e-150, -0.5, 0.0, 0.0):
+        ("0x1.4e4f1043a395ap-500", "0x1.c6da02a5aea62p-543", 3),
+    (3.0, 7.5, -3.0, -2.25, 7.5):
+        ("0x1.44397577a2dd4p-16", "0x1.8d465c6f8826fp-63", 20),
+    (1.5, 10.0, -0.5, -3.2, 10.0):
+        ("0x1.7f793a13a6505p-10", "0x1.b92bee7bf51d1p-57", 24),
+    (2.5, 0.001, 2.0, 1.0, 0.0):
+        ("0x1.a5ba83f185084p-60", "0x1.228774837ace6p-105", 5),
+    (0.7071, 3.3, -0.4142, -1.1, 3.3):
+        ("0x1.3dba6e830b654p-5", "0x1.9bf8d840d2556p-53", 15),
+    (-1.2345, 17.0, 1.2345, 0.0, 17.0):
+        ("0x1.89a62abf40906p+1", "0x1.39d5e0bb97bb4p-45", 33),
+    (2.718281828, 29.5, 0.0, 0.0, 29.5):
+        ("0x1.0a0700989b5d0p-4", "0x1.31a225b112cd8p-50", 43),
+    (0.0, 30.0, 0.0, 0.0, 30.0):
+        ("0x1.2b9b157f9e618p-4", "0x1.63dcb01e5cfe0p-50", 45),
+    (1.0, 300.0, 0.0, 0.0, 300.0):
+        ("0x1.78e647f58372cp-6", "0x1.5cd550d77ecc3p-54", 8),
+    (20.0, 35.0, -19.0, 0.0, 35.0):
+        ("0x1.6dd5e94777ebap-110", "0x1.0056ca3dfddb9p-154", 41),
+    (-0.5, 45.0, 0.5, -4.5, 45.0):
+        ("0x1.227213fd77689p-8", "0x1.17eaaf3cf6876p-57", 1),
+    (10.0, 10000.0, 0.0, 0.0, 10000.0):
+        ("0x1.042666f6a08e5p-8", "0x1.1a8efdc9f6bbbp-56", 7),
+    (0.0, 705.0, 0.0, 0.0, 0.0):
+        ("0x1.07e2dd0d913a3p+1011", "0x1.e199380667f69p+962", 7),
+    (400.0, 600.0, -50.0, 0.0, 600.0):
+        ("0x1.5eb1319ea1caep-654", "0x1.3fae8a5275753p-696", 260),
+    (400.0, 600.0, 0.0, 0.0, 600.0):
+        ("0x1.dc0f0c34360acp-193", "0x1.907be6ad2afadp-235", 260),
+    (1000.0, 2000.0, 0.0, 0.0, 2000.0):
+        ("0x1.5c0acc6914fc2p-361", "0x1.db9a015861733p-402", 797),
+    (150.0, 520.0, -20.0, 10.0, 400.0):
+        ("0x1.2d9f2ed6edcc0p-30", "0x1.99ae7a3e0f108p-73", 294),
+}
+
+
+@pytest.mark.parametrize("args", list(WEIGHTED_PINS), ids=str)
+def test_weighted_values_are_pinned(args):
+    got = struve_l_weighted(*args)
+    assert (got.value.hex(), got.abs_error_estimate.hex(), got.terms_used) == \
+        WEIGHTED_PINS[args]
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [((0.0, 720.0, 0.0, 0.0, 0.0), "struve_l"),
+     ((400.0, 600.0, 300.0, 0.0, 0.0), "struve_l_weighted")],
+    ids=["asymptotic", "series"],
+)
+def test_weighted_overflow_text_is_pinned(args, name):
+    with pytest.raises(OverflowError) as info:
+        struve_l_weighted(*args)
+    assert str(info.value) == f"{name} overflows binary64"
+
+
+def test_series_pass_equals_one_argument_calls():
+    # one pass over many arguments of one order gives each argument's
+    # one-argument value, estimate and term count, bit for bit
+    rng = random.Random("struve series pass")
+    for _ in range(60):
+        mu = rng.choice([-1.5 + 1e-9, rng.uniform(-1.49, 0.0), rng.uniform(0.0, 40.0)])
+        power = rng.choice([0.0, -rng.uniform(-1.4, 3.0)])
+        xs = [rng.choice([rng.uniform(0.0, 30.0), math.exp(rng.uniform(-300.0, 3.4))])
+              for _ in range(rng.randint(1, 15))]
+        weights = [rng.choice([0.0, rng.uniform(-40.0, 20.0)]) for _ in xs]
+        offsets = [rng.choice([0.0, x]) for x in xs]
+        estimates = []
+        values = specfun_mod._struve_series(mu, power, xs, weights, offsets, estimates)
+        for x, w, off, value, (err, terms) in zip(xs, weights, offsets, values, estimates):
+            want = struve_l_weighted(mu, x, power, w, off)
+            assert (value.hex(), err.hex(), terms) == (
+                want.value.hex(), want.abs_error_estimate.hex(), want.terms_used)
+
+
 # ---------------------------------------------------------------------------
 # non-finite arguments
 

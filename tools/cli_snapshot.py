@@ -11,8 +11,11 @@ script) on:
   integrals underflow to 0, with ``x_values`` [0.25, 1, 2, 16, 17]
   (``pow2-x``: powers of two, which are split points of every larger
   upper limit, so that [0, x] is itself a panel of those quadratures,
-  and 17, just past 16), and with
-  ``tolerances`` setting ``tightness_low`` (an unknown tolerance);
+  and 17, just past 16), with ``x_values`` [0.5, 5, 40, 75]
+  (``large-node``: GK15 nodes past ``SCALED_SWITCH_X`` = 30, which take
+  the large-x expansion of ``L_nu`` or, where it declines, its power
+  series), and with ``tolerances`` setting ``tightness_low`` (an
+  unknown tolerance);
 - ``table table1|table2|dconstants`` as CSV and JSON;
 - the README ``eval`` and ``dconst`` examples, ``eval struve-l`` at
   x = 705 and 720 (either side of where L_0 leaves binary64) and at
@@ -53,6 +56,7 @@ VERIFY_SEEDS = (1, 41, 45)
 EXTRA_GRIDS = {
     "tiny-x": {"x_values": [1e-170, 1e-160]},
     "pow2-x": {"x_values": [0.25, 1.0, 2.0, 16.0, 17.0]},
+    "large-node": {"x_values": [0.5, 5.0, 40.0, 75.0]},
     # the large-x checks take no tolerance: this config is rejected
     "tightness-low": {"tolerances": {"tightness_low": 0.99}},
 }
