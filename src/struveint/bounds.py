@@ -21,15 +21,18 @@ from .integrals import (
     IntegralSpec,
     _damping_residual,
     _expansion_scaled,
+    _power_den,
     _power_series,
     closed_form_times_power,
     integral_power_series,
-    integral_power_series_scaled,
     integral_quadrature,
 )
 from .specfun import (
     SQRT_PI,
     UNSCALE_MAX_OFFSET,
+    _series,
+    _series_cap,
+    _struve_den,
     log_gamma,
     log_lower_incomplete_gamma,
     struve_l_scaled,
@@ -232,18 +235,22 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
     """x^nu / L_{nu+n}(x) times the undamped integral.
 
     Tends to 0 as x drops to 0 and to 1 as x grows; its supremum is the
-    constant D.  The exp(x) growth cancels analytically by pairing the
-    scaled integral with the scaled Struve value.  The Gamma factors of
-    both series cancel too: with T_k > 0 the terms of L_{nu+n}(x), the
-    ratio is x sum T_k/(n+2k+2) / sum T_k <= x/(n+2).  At large x the
-    integrated Hankel expansion gives x^nu times the integral in O(1).
+    constant D.  With T_k > 0 the terms of L_{nu+n}(x), T_0 = 1, the Gamma
+    factors cancel: the ratio is x/(n+2) P/L, L = sum T_k and
+    P = sum T_k (n+2)/(n+2k+2) <= L, two series sums with one first term
+    and offset x, so it is at most x/(n+2).  At large x the integrated
+    Hankel expansion gives x^nu exp(-x) times the integral in O(1).
     """
     _check_ratio_domain(nu, n, "ratio_fn")
     if x <= 0.0:
         raise DomainError(f"ratio_fn requires x > 0, got x={x}")
     large = _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu)
-    top = large[0] if large else x**nu * integral_power_series_scaled(nu, n, x).value
-    return top / struve_l_scaled(nu + n, x).value
+    if large:
+        return large[0] / struve_l_scaled(nu + n, x).value
+    z, cap = 0.25 * x * x, _series_cap(x)
+    p, lsum = (_series(den, [z], [0.0], [x], cap, "ratio_fn")[0]
+               for den in (_power_den(nu + n, n), _struve_den(nu + n)))
+    return x / (n + 2.0) * (p / lsum)
 
 
 def _golden_max(f, a: float, b: float, xtol: float) -> float:

@@ -27,12 +27,12 @@ from .specfun import (
     SCALED_SWITCH_X,
     SQRT_TWO_PI,
     SeriesEval,
+    _series,
+    _series_cap,
     _struve_series,
     log_gamma,
     log_lower_incomplete_gamma,
-    pfq_weighted,
     struve_l_weighted,
-    sum_series,
     unscale,
 )
 
@@ -92,8 +92,8 @@ def _panel_values(spec: IntegralSpec, offset: float, ts: list[float]) -> list[fl
     # pass for those in (0, SCALED_SWITCH_X], struve_l_weighted for the rest.
     mu, c = spec.nu + spec.n, 1.0 - spec.gamma
     small = [t for t in ts if 0.0 < t <= SCALED_SWITCH_X]
-    values = _struve_series(mu, -spec.nu, small, [c * t - offset for t in small], small,
-                            "struve_l_weighted")
+    values = iter(_struve_series(mu, -spec.nu, small, [c * t - offset for t in small],
+                                 small, "struve_l_weighted"))
     return [next(values) if 0.0 < t <= SCALED_SWITCH_X else 0.0 if t == 0.0
             else struve_l_weighted(mu, t, -spec.nu, c * t - offset, t).value for t in ts]
 
@@ -282,47 +282,37 @@ def closed_form_times_power(nu: float, x: float, power: float) -> float:
                 - log_gamma(k + 1.5) - log_gamma(k + nu + 1.5))  # front times term k
     if log_peak + j > 710.0:  # past log DBL_MAX = 709.78 by more than the logs' rounding
         raise OverflowError("pFq series overflows binary64")
-    series = pfq_weighted([1.0, 1.0], [1.5, 2.0, nu + 1.5], 0.25 * x * x, log_front + j)
-    return unscale(series.value, power * log_x - j, "integral_closed_form")
+    # the 2F3 is the integrated series at n = 0: d_k = (3/2+k)(2+k)(nu+3/2+k)/(1+k)
+    series, = _series(_power_den(nu, 0.0), [0.25 * x * x], [log_front + j], [0.0],
+                      _series_cap(x), "pFq series")
+    return unscale(series, power * log_x - j, "integral_closed_form")
 
 
 def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:
-    """Undamped integral for general order shift n, integrated term by
-    term:  sum over k of
-        (1/2)^(nu+n+2k+1) x^(n+2k+2) / ((n+2k+2) Gamma(k+3/2) Gamma(k+nu+n+3/2)).
-    """
+    """Undamped integral for general order shift n, integrated term by term:
+    sum of (1/2)^(nu+n+2k+1) x^(n+2k+2) / ((n+2k+2) Gamma(k+3/2) Gamma(k+nu+n+3/2))."""
     return _power_series(nu, n, x, 0.0)
 
 
-def integral_power_series_scaled(nu: float, n: float, x: float) -> SeriesEval:
-    """exp(-x) times the undamped integral; the exp(-x) is folded into the
-    first term, so large upper limits stay finite."""
-    return _power_series(nu, n, x, x)
-
-
 def _power_series(nu: float, n: float, x: float, offset: float) -> SeriesEval:
-    # exp(-offset) times the undamped integral; offset is 0 or x.
-    _check_undamped_args(nu, n, x)
+    # exp(-offset) times the undamped integral
+    if not n > -1.0:
+        raise DomainError(f"order shift must satisfy n > -1, got {n}")
+    if not -1.5 < nu + n < math.inf:
+        raise DomainError(f"nu + n must exceed -3/2, got nu={nu}, n={n}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"upper limit must be finite and nonnegative, got x={x}")
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0)
-    log_first = (
-        (nu + n + 1.0) * math.log(0.5)
-        + (n + 2.0) * math.log(x)
-        - math.log(n + 2.0)
-        - log_gamma(1.5)
-        - log_gamma(nu + n + 1.5)
-    )
-    q2 = 0.25 * x * x
+    log_first = ((nu + n + 1.0) * math.log(0.5) + (n + 2.0) * math.log(x)
+                 - math.log(n + 2.0) - log_gamma(1.5) - log_gamma(nu + n + 1.5))
+    return _series(_power_den(nu + n, n), [0.25 * x * x], [log_first], [offset],
+                   _series_cap(x), "integral_power_series", True)[0]
 
-    def ratio(k: int) -> float:
-        return (
-            q2
-            * (n + 2.0 * k + 2.0)
-            / ((n + 2.0 * k + 4.0) * (k + 1.5) * (k + nu + n + 1.5))
-        )
 
-    name = "integral_power_series_scaled" if offset else "integral_power_series"
-    return sum_series(log_first, ratio, offset, name, x)
+def _power_den(mu: float, n: float):
+    # d_k of the integrated series: its terms are L_mu's over n + 2k + 2
+    return lambda k: (n + 2.0 * k + 4.0) * (k + 1.5) * (k + mu + 1.5) / (n + 2.0 * k + 2.0)
 
 
 def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
@@ -348,25 +338,22 @@ def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
 
     def log_term(k: int) -> float:
         s = n + 2.0 * k + 2.0
-        return (
-            (nu + n + 2.0 * k + 1.0) * log_half
-            - log_gamma(k + 1.5)
-            - log_gamma(k + nu + n + 1.5)
-            - s * log_gam
-            + log_lower_incomplete_gamma(s, gx)
-        )
+        return ((nu + n + 2.0 * k + 1.0) * log_half - log_gamma(k + 1.5)
+                - log_gamma(k + nu + n + 1.5) - s * log_gam
+                + log_lower_incomplete_gamma(s, gx))
 
-    prev = log_term(0)
+    first = prev = log_term(0)
     big = abs(prev)
 
-    def ratio(k: int) -> float:
+    def den(k: int) -> float:
         nonlocal prev, big
         cur = log_term(k + 1)
-        q = math.exp(cur - prev)
+        # 1 / d is the term ratio exp(cur - prev), 0 where it underflows
+        d = math.exp(prev - cur) if prev - cur < 709.0 else math.inf
         prev, big = cur, max(big, abs(cur))
-        return q
+        return d
 
-    out = sum_series(prev, ratio, 0.0, "integral_series_oracle", x)
+    out, = _series(den, [1.0], [first], [0.0], _series_cap(x), "integral_series_oracle", True)
     # each term carries the rounding of its own log, which the kernel
     # counts for the first term only; the terms are positive
     err = out.abs_error_estimate + big * math.ulp(1.0) * out.value
@@ -385,12 +372,3 @@ def log_asymptotic_integral(spec: IntegralSpec, offset: float = 0.0,
         - (spec.nu + 0.5 - power) * math.log(spec.x)
         - math.log(SQRT_TWO_PI * (1.0 - spec.gamma))
     )
-
-
-def _check_undamped_args(nu: float, n: float, x: float) -> None:
-    if not n > -1.0:
-        raise DomainError(f"order shift must satisfy n > -1, got {n}")
-    if not -1.5 < nu + n < math.inf:
-        raise DomainError(f"nu + n must exceed -3/2, got nu={nu}, n={n}")
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"upper limit must be finite and nonnegative, got x={x}")

@@ -4,10 +4,12 @@ Gamma and log-gamma (the stdlib's, behind domain checks), the lower
 incomplete gamma function in log form, generalized hypergeometric
 series, and the modified Struve function of the first kind L_nu in
 plain, exponentially scaled and weighted form (past x = 30 from its
-large-x expansions where they converge).  One kernel, sum_series, sums
-every power series but L_mu's (_struve_series, for many x at once, under
-the same rules), sets its term cap and raises ConvergenceError (cap run
-out) or OverflowError (sum beyond binary64).  Everything here is a pure
+large-x expansions where they converge).  One kernel, _series, sums
+every power series the package forms, L_mu's, the integrated power
+series, the closed form's 2F3, the incomplete gamma's and the oracle's,
+for a list of arguments at once; all have positive terms.  The caller
+gives it the term cap; it raises ConvergenceError (cap run out) or
+OverflowError (sum beyond binary64).  Everything here is a pure
 function of its arguments; there is no shared mutable state.
 """
 
@@ -15,23 +17,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .exceptions import ConvergenceError, DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-#: Stop summing once |term| <= REL_TERM_TOL * |partial sum| twice in a row.
+#: Stop summing once term <= REL_TERM_TOL * partial sum twice in a row.
 REL_TERM_TOL = 1e-16
 
 #: Past this argument L_nu tries its large-x expansions.
 SCALED_SWITCH_X = 30.0
 
+#: Term cap of a series in x up to x = 500 (_series_cap).
+_SERIES_CAP = 600
+
 #: Term and iteration cap of the incomplete gamma series and fraction.
 _INCGAMMA_CAP = 10000
 
-# sum_series divides its partial sum by _RESCALE (an exact power of two)
+# _series divides its partial sum by _RESCALE (an exact power of two)
 # whenever the sum passes it, and starts from a mantissa near 1.
 _RESCALE_BITS = 930
 _RESCALE = 2.0**_RESCALE_BITS
@@ -40,6 +45,7 @@ _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _EPS = math.ulp(1.0)
+_DBL_MIN = 2.0**-1022  # the smallest normal double
 #: unscale's offset clamp: past it any nonzero scaled value overflows.
 UNSCALE_MAX_OFFSET = 1500.0
 
@@ -71,62 +77,58 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def sum_series(
-    log_first: float,
-    ratio: Callable[[int], float],
-    offset: float,
-    name: str,
-    x: float = 0.0,
-    max_terms: int | None = None,
-) -> SeriesEval:
-    """Sum t_0 = exp(log_first - offset), t_{k+1} = t_k * ratio(k).
+def _series_cap(x: float) -> int:
+    """Term cap of a series in x, which takes ~x/2 terms before they decay."""
+    return (max(_SERIES_CAP, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
+            if x > 500.0 else _SERIES_CAP)
 
-    The terms are summed in plain arithmetic relative to a running binary
-    exponent, so a series whose terms leave the binary64 range on the way
-    stays finite: exp(-x) L_nu(x) at x = 1e4 starts near exp(-1e4), and
-    its unscaled terms peak near exp(1e4).
 
-    Stops after two consecutive terms below REL_TERM_TOL relative to the
-    partial sum.  The stop test only arms once |ratio| < 1, so series
-    whose terms grow before decaying are handled correctly.  The error
-    estimate is 2*|last term| (past it the terms decay geometrically) plus
-    (terms + 1 + |log_first| + |log_first - offset|) eps |sum| of rounding:
-    one unit per term, and those of the first term's exponent.  |sum| =
-    sum |t_k| for positive terms.
+def _series(den: Callable[[int], float], zs: list, log_firsts: list, offsets: list,
+            cap: int, name: str, estimate: bool = False) -> list:
+    """exp(log_first - offset) sum t_k for each (z, log_first, offset): t_0 = 1,
+    t_{k+1} = t_k z / d_k, z >= 0 and d_k = den(k) > 0 tabulated once for all.
 
-    A series in x needs ~x/2 terms before its terms even start decaying,
-    so at most max(600, x/2 + 12 sqrt(x) + 80) terms are taken, or
-    max_terms where a caller passes its own.  Raises ConvergenceError
-    when the cap runs out and OverflowError when the sum is beyond
-    binary64, each naming the series.
+    The first term's exponent is reduced by an exact multiple of ln 2
+    (Cody-Waite) to a mantissa near 1, and sum and term are divided by
+    _RESCALE whenever the sum passes it, so terms may leave binary64 on the
+    way: exp(-x) L_nu(x) at x = 1e4 starts near exp(-1e4).  Stops after two
+    consecutive terms below REL_TERM_TOL of the sum once z / d_k < 1.  With
+    estimate it returns SeriesEvals: twice the last term (the terms decay
+    geometrically past it) plus (terms + 1 + |log_first| + |log_first -
+    offset|) eps sum of rounding, and a subnormal unit for the rounding of a
+    value below DBL_MIN.  Raises ConvergenceError after cap terms and
+    OverflowError when a sum is beyond binary64, each naming the series.
     """
-    # x/2 + 12 sqrt(x) + 80 stays below 600 up to x = 500: skip it there
-    cap = max_terms or (max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
-                        if x > 500.0 else 600)
-    bits = round((log_first - offset) / _LN2)
-    # Both subtractions are exact when |log_first| is small next to offset;
-    # else they round at the size of log_first's own rounding error.
-    total = term = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
-    small = 0
-    for k in range(cap - 1):
-        q = ratio(k)
-        term *= q
-        total += term
-        if abs(q) < 1.0 and abs(term) <= REL_TERM_TOL * abs(total):
-            small += 1
-            if small == 2:
-                units = k + 3 + abs(log_first) + abs(log_first - offset)
-                err = 2.0 * abs(term) + units * _EPS * abs(total)
-                # err < |total|: once the value is in binary64, so is err
-                return SeriesEval(_ldexp(total, bits, name), math.ldexp(err, bits),
-                                  k + 2)
+    dens, out = [], []
+    for z, log_first, offset in zip(zs, log_firsts, offsets):
+        bits = round((log_first - offset) / _LN2)
+        # Both subtractions are exact when |log_first| is small next to offset;
+        # else they round at the size of log_first's own rounding error.
+        total = term = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
+        small = 0
+        for k in range(cap - 1):
+            if k == len(dens):
+                dens.append(den(k))
+            q = z / dens[k]
+            term *= q
+            total += term
+            if q < 1.0 and term <= REL_TERM_TOL * total:
+                small += 1
+                if small == 2:
+                    break
+            else:
+                small = 0
+                if not total < _RESCALE:
+                    total, term, bits = total / _RESCALE, term / _RESCALE, bits + _RESCALE_BITS
         else:
-            small = 0
-            if not -_RESCALE < total < _RESCALE:
-                total /= _RESCALE
-                term /= _RESCALE
-                bits += _RESCALE_BITS
-    raise ConvergenceError(f"{name} did not converge within {cap} terms")
+            raise ConvergenceError(f"{name} did not converge within {cap} terms")
+        value = _ldexp(total, bits, name)
+        if estimate:
+            units = k + 3 + abs(log_first) + abs(log_first - offset)
+            err = math.ldexp(2.0 * term + units * _EPS * total, bits)
+            value = SeriesEval(value, err + math.ulp(0.0) if value < _DBL_MIN else err, k + 2)
+        out.append(value)
+    return out
 
 
 def _ldexp(value: float, bits: int, name: str) -> float:
@@ -148,42 +150,25 @@ def unscale(scaled: float, offset: float, name: str) -> float:
 
 def pfq(numerator_params: Sequence[float], denominator_params: Sequence[float],
         z: float) -> SeriesEval:
-    """Generalized hypergeometric series pFq(a1..ap; b1..bq; z).
-
-    Summed term by term via the ratio recurrence
-    t_{k+1}/t_k = prod(a_i+k)/prod(b_j+k) * z/(k+1).
-    """
-    return pfq_weighted(numerator_params, denominator_params, z, 0.0)
-
-
-def pfq_weighted(numerator_params: Sequence[float], denominator_params: Sequence[float],
-                 z: float, log_weight: float) -> SeriesEval:
-    """exp(log_weight) * pFq, the weight in the log of the first term."""
-    a = [float(v) for v in numerator_params]
-    b = [float(v) for v in denominator_params]
+    """Generalized hypergeometric series pFq(a1..ap; b1..bq; z), for terms >= 0
+    only (a_i >= 0, b_j > 0, z >= 0; else DomainError).  Nothing in the
+    package calls it; it stays while the benchmark tracer names it."""
+    a, b = [float(v) for v in numerator_params], [float(v) for v in denominator_params]
     if not all(map(math.isfinite, [*a, *b, z])):
         raise DomainError(f"pFq requires finite parameters and z, got {a}, {b}, {z}")
-    for bj in b:
-        if bj <= 0.0 and bj == int(bj):
-            raise DomainError(f"denominator parameter {bj} is zero or a negative integer")
     if len(a) > len(b) + 1:
         raise DomainError(f"pFq requires p <= q+1, got p={len(a)}, q={len(b)}")
     if len(a) == len(b) + 1 and abs(z) >= 1.0:
         raise DomainError(f"p = q+1 series only converges for |z| < 1, got z={z}")
-    if z == 0.0:
-        return SeriesEval(math.exp(log_weight), 0.0, 1)
-
-    def ratio(k: int) -> float:
-        num = 1.0
-        for ai in a:
-            num *= ai + k
-        den = 1.0
-        for bj in b:
-            den *= bj + k
-        return num / den * z / (k + 1.0)
-
-    # q = p+1 terms peak near k = sqrt|z|, as those of a series in 2 sqrt|z|
-    return sum_series(log_weight, ratio, 0.0, "pFq series", 2.0 * math.sqrt(abs(z)))
+    if min(a, default=0.0) < 0.0 or min(b, default=1.0) <= 0.0 or z < 0.0:
+        raise DomainError(f"pFq sums terms >= 0 only: needs a_i >= 0, b_j > 0 "
+                          f"and z >= 0, got {a}, {b}, {z}")
+    if z == 0.0 or 0.0 in a:
+        return SeriesEval(1.0, 0.0, 1)
+    # q = p+1 terms peak near k = sqrt(z), as those of a series in 2 sqrt(z)
+    return _series(lambda k: math.prod(bj + k for bj in b) * (k + 1.0)
+                   / math.prod(ai + k for ai in a),
+                   [z], [0.0], [0.0], _series_cap(2.0 * math.sqrt(z)), "pFq series", True)[0]
 
 
 def struve_l(nu: float, x: float) -> SeriesEval:
@@ -231,48 +216,30 @@ def struve_l_weighted(
         out = _struve_asymptotic(mu, x, power, log_weight, offset, name)
         if out is not None:
             return out
-    estimates = []
-    value, = _struve_series(mu, power, [x], [log_weight], [offset], name, estimates)
-    return SeriesEval(value, *estimates[0])
+    return _struve_series(mu, power, [x], [log_weight], [offset], name, True)[0]
 
 
 def _struve_series(mu: float, power: float, xs: list, log_weights: list, offsets: list,
-                   name: str, estimates: list | None = None) -> Iterator[float]:
-    """x^power exp(log_weight - offset) L_mu(x) by sum_series' rules for each
-    x > 0 of xs; the positive term ratios (x/2)^2/((k+3/2)(k+mu+3/2)) share
-    denominators and log Gamma(mu+3/2).  Appends (estimate, terms) to estimates."""
+                   name: str, estimate: bool = False) -> list:
+    """x^power exp(log_weight - offset) L_mu(x) for each x > 0 of xs, one
+    _series pass: t_0 = (x/2)^(mu+1) / (Gamma(3/2) Gamma(mu+3/2)), z = (x/2)^2
+    and d_k = (k+3/2)(k+mu+3/2) (DLMF 11.2.1)."""
+    if not xs:
+        return []
     lg_half, lg_mu = log_gamma(1.5), log_gamma(mu + 1.5)
-    dens = []  # dens[k] = (k + 3/2)(k + mu + 3/2)
-    for x, log_weight, offset in zip(xs, log_weights, offsets):
-        h = 0.5 * x
-        h2 = h * h
-        log_first = math.fsum(((mu + 1.0) * math.log(h), power * math.log(x),
-                               log_weight, -lg_half, -lg_mu))
-        cap = (max(600, int(x / 2.0 + 12.0 * math.sqrt(x) + 80.0))
-               if x > 500.0 else 600)
-        bits = round((log_first - offset) / _LN2)
-        total = term = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
-        small = 0
-        for k in range(cap - 1):
-            if k == len(dens):
-                dens.append((k + 1.5) * (k + mu + 1.5))
-            q = h2 / dens[k]
-            term *= q
-            total += term
-            if q < 1.0 and term <= REL_TERM_TOL * total:
-                small += 1
-                if small == 2:
-                    break
-            else:
-                small = 0
-                if not total < _RESCALE:
-                    total, term, bits = total / _RESCALE, term / _RESCALE, bits + _RESCALE_BITS
-        else:
-            raise ConvergenceError(f"{name} did not converge within {cap} terms")
-        yield _ldexp(total, bits, name)
-        if estimates is not None:
-            units = k + 3 + abs(log_first) + abs(log_first - offset)
-            estimates.append((math.ldexp(2.0 * term + units * _EPS * total, bits), k + 2))
+    log_firsts = []
+    for x, log_weight in zip(xs, log_weights):
+        h, lx = 0.5 * x, math.log(x)
+        # log(x) - ln 2 where x/2 rounds (x subnormal), else log(x/2) exactly
+        lh = math.log(h) if h + h == x else lx - _LN2
+        log_firsts.append(math.fsum(((mu + 1.0) * lh, power * lx, log_weight,
+                                     -lg_half, -lg_mu)))
+    return _series(_struve_den(mu), [0.25 * x * x for x in xs], log_firsts, offsets,
+                   _series_cap(max(xs)), name, estimate)
+
+
+def _struve_den(mu: float) -> Callable[[int], float]:
+    return lambda k: (k + 1.5) * (k + mu + 1.5)
 
 
 def _struve_asymptotic(
@@ -371,7 +338,7 @@ def log_lower_incomplete_gamma(s: float, z: float) -> float:
     if not 0.0 < s < math.inf:
         raise DomainError(f"log_lower_incomplete_gamma needs finite s > 0, got s={s}")
     if z < s + 1.0:  # z^s e^-z sum z^k / (s (s+1) ... (s+k))
-        out = sum_series(-math.log(s), lambda k: z / (s + k + 1.0), 0.0,
-                         "incomplete gamma series", max_terms=_INCGAMMA_CAP)
-        return s * math.log(z) - z + math.log(out.value)
+        out, = _series(lambda k: s + k + 1.0, [z], [-math.log(s)], [0.0], _INCGAMMA_CAP,
+                       "incomplete gamma series")
+        return s * math.log(z) - z + math.log(out)
     return math.log1p(-_gcf_q(s, z)) + log_gamma(s)

@@ -6,6 +6,7 @@ reference values additionally pin the supremum solver.
 """
 
 import math
+import random
 
 import pytest
 
@@ -34,10 +35,8 @@ from struveint.integrals import (
     IntegralSpec,
     _expansion_scaled,
     integral_closed_form,
-    integral_power_series_scaled,
     integral_quadrature,
 )
-from struveint.specfun import struve_l_scaled
 
 DAMPED_HALF_0_0_1 = 0.2419096964687127  # integral at gamma=1/2, nu=n=0, x=1
 
@@ -291,29 +290,40 @@ def _mp_ratio(mp, nu, n, x):
     return x**nu * total / mp.struvel(mu, x)
 
 
-@pytest.mark.parametrize("nu,n", [(0.0, 0.0), (3.0, 2.0), (10.0, 0.0)])
-@pytest.mark.parametrize("x", [100.0, 250.0, 500.0])
-def test_ratio_at_large_x_matches_mpmath(nu, n, x):
-    # at 500 the integral comes from the large-x expansion, x^nu in its lead
+def _ratio_points():
+    # (x, nu, n): a large-x grid, then a seeded set on ratio_fn's series route
+    points = [(x, nu, n) for x in (100.0, 250.0, 500.0)
+              for nu, n in ((0.0, 0.0), (3.0, 2.0), (10.0, 0.0))]
+    rng = random.Random("ratio_fn series route")
+    while len(points) < 109:
+        n = rng.choice([0.0, rng.uniform(-0.9, 3.0)])
+        nu = rng.uniform(-0.5 * (n + 1.0), 10.0)
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(500.0)))
+        if _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) is None:
+            points.append((x, nu, n))
+    return points
+
+
+@pytest.mark.parametrize("x,nu,n", _ratio_points())
+def test_ratio_at_large_x_matches_mpmath(x, nu, n):
+    # at 500 the integral comes from the large-x expansion, x^nu in its
+    # lead; the series route, two sums over the terms of L_{nu+n}, is held
+    # to 5e-15 (it was off by 6.6e-15 with a Gamma factor in each sum)
     mp = pytest.importorskip("mpmath")
+    large = _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) is not None
     if x == 500.0:
-        assert _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) is not None
-    with mp.workdps(30):
+        assert large
+    with mp.workdps(40):
         want = _mp_ratio(mp, nu, n, x)
-        assert float(abs((ratio_fn(nu, n, x) - want) / want)) < 1e-14
-
-
-def _series_ratio(nu, n, x):
-    # ratio_fn from the power series alone, as the full scan used it
-    return (x**nu * integral_power_series_scaled(nu, n, x).value
-            / struve_l_scaled(nu + n, x).value)
+        assert float(abs((ratio_fn(nu, n, x) - want) / want)) < (1e-14 if large else 5e-15)
 
 
 def _full_scan(nu, n):
-    # the full 200-point scan and max() that the descending scan replaces:
-    # (bracket, D, argmax) or DSolverError
+    # the full 200-point scan and max() that the descending scan replaces,
+    # ratio_fn from its series alone (the large-x expansion switched off by
+    # the caller): (bracket, D, argmax) or DSolverError
     xs = log_grid(bounds_mod.D_SCAN_LO, bounds_mod.D_SCAN_HI, bounds_mod.D_SCAN_POINTS)
-    vals = [_series_ratio(nu, n, x) for x in xs]
+    vals = [ratio_fn(nu, n, x) for x in xs]
     best = max(range(len(xs)), key=vals.__getitem__)
     if best in (0, len(xs) - 1):
         edge = "left" if best == 0 else "right"
@@ -323,9 +333,9 @@ def _full_scan(nu, n):
             f"x={xs[best]:g} of [{bounds_mod.D_SCAN_LO:g}, {bounds_mod.D_SCAN_HI:g}]"
         )
     bracket = xs[best - 1], xs[best + 1]
-    argmax = bounds_mod._golden_max(lambda x: _series_ratio(nu, n, x), *bracket,
+    argmax = bounds_mod._golden_max(lambda x: ratio_fn(nu, n, x), *bracket,
                                     bounds_mod.D_XTOL)
-    return bracket, _series_ratio(nu, n, argmax), argmax
+    return bracket, ratio_fn(nu, n, argmax), argmax
 
 
 FULL_SCAN_PAIRS = sorted(
@@ -340,7 +350,9 @@ def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
     # the pruned scan and the large-x ratio leave the bracket, D, its
     # argmax and the edge diagnosis bit for bit as the full scan gave them
     try:
-        bracket, value, argmax = _full_scan(nu, n)
+        with monkeypatch.context() as series_only:
+            series_only.setattr(bounds_mod, "_expansion_scaled", lambda *args: None)
+            bracket, value, argmax = _full_scan(nu, n)
     except DSolverError as exc:
         bracket, failure = None, str(exc)
     golden = count_calls(monkeypatch, bounds_mod, "_golden_max")
@@ -765,7 +777,7 @@ def test_bound_overflow_decided_before_summing(monkeypatch, name, call):
 def test_closed_form_overflow_decided_before_summing(monkeypatch):
     # the 2F3 term near its peak, k = x/2 = 5e5, is about e^1e6 alone; the
     # x/2-term series is never summed, and the error names it as before
-    summed = count_calls(monkeypatch, integrals_mod, "pfq_weighted")
+    summed = count_calls(monkeypatch, integrals_mod, "_series")
     with pytest.raises(OverflowError, match="^pFq series overflows binary64$"):
         integral_closed_form(0.0, 1e6)
     assert summed == []

@@ -22,7 +22,6 @@ from struveint.integrals import (
     IntegralSpec,
     integral_closed_form,
     integral_power_series,
-    integral_power_series_scaled,
     integral_quadrature,
     integral_series_oracle,
     integrand,
@@ -172,6 +171,14 @@ def test_quadrature_matches_closed_form(nu, x):
     assert got.abs_error_estimate <= 1e-11 * got.value
 
 
+@pytest.mark.parametrize("x", [1e-323, 2e-323, 1e-322])
+def test_quadrature_at_subnormal_x(x):
+    # GK15 nodes at 5e-324 took log(0.5 * 5e-324) = log(0), a raw
+    # ValueError; the integral, about x^2/pi, is 0 in binary64
+    got = integral_quadrature(IntegralSpec(0.0, 0.0, 0.0, x))
+    assert (got.value, got.abs_error_estimate) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("x", [1e-90, 1e-110])
 def test_quadrature_at_tiny_x_matches_power_series(x):
     # t^(-3) and L_3(t) leave binary64 in opposite directions at these t
@@ -237,9 +244,14 @@ def test_power_series_vs_quadrature(nu, n, x):
     assert rel_err(got, integral_quadrature(spec).value) < 1e-10
 
 
+def power_series_at_offset_x(nu: float, n: float, x: float):
+    # exp(-x) times the undamped integral: the offset x in the first term
+    return integrals_mod._power_series(nu, n, x, x)
+
+
 def test_power_series_scaled_consistency():
     for x in (10.0, 40.0, 120.0):
-        scaled = integral_power_series_scaled(0.5, 1.0, x).value
+        scaled = power_series_at_offset_x(0.5, 1.0, x).value
         plain = integral_power_series(0.5, 1.0, x).value
         assert rel_err(scaled, math.exp(-x) * plain) < 1e-11
 
@@ -283,17 +295,15 @@ def test_oracle_requires_damping():
 
 
 def test_oracle_non_convergence(monkeypatch):
-    monkeypatch.setattr(integrals_mod, "sum_series",
-                        partial(specfun_mod.sum_series, max_terms=4))
+    monkeypatch.setattr(specfun_mod, "_SERIES_CAP", 4)
     spec = IntegralSpec(0.5, 0.0, 0.0, 20.0)
     with pytest.raises(ConvergenceError):
         integral_series_oracle(spec)
 
 
-@pytest.mark.parametrize("fn", [integral_power_series, integral_power_series_scaled])
+@pytest.mark.parametrize("fn", [integral_power_series, power_series_at_offset_x])
 def test_power_series_non_convergence(fn, monkeypatch):
-    monkeypatch.setattr(integrals_mod, "sum_series",
-                        partial(specfun_mod.sum_series, max_terms=4))
+    monkeypatch.setattr(specfun_mod, "_SERIES_CAP", 4)
     with pytest.raises(ConvergenceError):
         fn(0.0, 0.5, 20.0)
 
@@ -323,7 +333,7 @@ def test_scaled_power_series_at_500_matches_mpmath():
         x = mpmath.mpf(500)
         want = (mpmath.exp(-x) * x**2 / (mpmath.sqrt(mpmath.pi) * 2 * mpmath.gamma(1.5))
                 * mpmath.hyper([1, 1], [1.5, 2, 1.5], x**2 / 4))
-        got = integral_power_series_scaled(0.0, 0.0, 500.0).value
+        got = power_series_at_offset_x(0.0, 0.0, 500.0).value
         assert float(abs((got - want) / want)) < 2e-15
 
 
@@ -347,7 +357,7 @@ def test_underflowed_scaled_integral_is_not_zero(spec):
 def test_power_series_cap_grows_with_x():
     # past x ~ 500 the term cap x/2 + 12 sqrt(x) + 80 exceeds 600; this
     # series needs more than 600 terms and converges only under the grown cap
-    out = integral_power_series_scaled(0.5, 1.0, 1200.0)
+    out = power_series_at_offset_x(0.5, 1.0, 1200.0)
     assert out.terms_used > 600
     want = math.exp(log_integral_quadrature(IntegralSpec(0.0, 0.5, 1.0, 1200.0)) - 1200.0)
     assert rel_err(out.value, want) < 1e-11
@@ -519,14 +529,17 @@ def test_panel_table_returns_what_each_spec_returns_alone(row):
 
 def _panel_cases():
     # (gamma, nu, n, lo, hi): the edges first, then a seeded sample.  The
-    # panel [0, 5e-324] has every node at 0; (20, 0) at [30, 40] has nodes
+    # panel [0, 5e-324] has every node at 0, and those up to [0, 1e-322]
+    # nodes at 5e-324, where x/2 rounds to 0; (20, 0) at [30, 40] has nodes
     # past 30 where the large-x expansion declines (mu = 20, t = 35), and
     # (1, 0) there nodes where it is taken; mu = -1.5 + 1e-9 is next to
     # the order's bound.
     cases = [(0.0, 0.0, 0.0, 0.0, 5e-324), (0.5, 1.0, 0.5, 0.0, 1.0),
              (0.0, 20.0, 0.0, 30.0, 40.0), (0.95, 1.0, 0.0, 30.0, 40.0),
              (0.95, -0.5, -0.99, 25.0, 35.0), (0.0, -1.5 + 1e-9, 0.0, 0.0, 2.0),
-             (0.0, -1.0, -0.5 + 1e-9, 0.0, 30.0), (0.5, 3.0, 2.0, 16.0, 80.0)]
+             (0.0, -1.0, -0.5 + 1e-9, 0.0, 30.0), (0.5, 3.0, 2.0, 16.0, 80.0),
+             (0.0, 0.0, 0.0, 0.0, 1e-323), (0.0, 0.0, 0.0, 0.0, 2e-323),
+             (0.0, 0.0, 0.0, 0.0, 1e-322)]
     rng = random.Random("GK15 panel pass")
     for _ in range(150):
         gamma = rng.choice([0.0, 0.95, rng.uniform(0.0, 0.99)])
