@@ -34,7 +34,6 @@ from .integrals import (
     integral_power_series,
     integral_quadrature,
     integral_series_oracle,
-    integrand,
 )
 from .specfun import (
     SeriesEval,
@@ -73,7 +72,6 @@ __all__ = [
     "integral_power_series",
     "integral_quadrature",
     "integral_series_oracle",
-    "integrand",
     "log_gamma",
     "lower_bi1",
     "lower_bi2",

@@ -23,13 +23,14 @@ from .integrals import (
     _expansion_scaled,
     _power_den,
     _power_series,
-    closed_form_times_power,
     integral_power_series,
     integral_quadrature,
 )
 from .specfun import (
     SQRT_PI,
     UNSCALE_MAX_OFFSET,
+    _DBL_MIN,
+    _LN2,
     _series,
     _series_cap,
     _struve_den,
@@ -48,8 +49,6 @@ D_SCAN_HI = 500.0
 #: Absolute x tolerance for the golden-section refinement.
 D_XTOL = 1e-6
 
-_LN2 = math.log(2.0)
-_DBL_MIN = math.ldexp(1.0, -1022)  # the smallest normal double
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -127,8 +126,8 @@ def _check_bi23_domain(nu: float, n: float, x: float, name: str) -> None:
         raise DomainError(f"{name} requires n > -1, got n={n}")
     if nu < -0.5 * (n + 1.0):
         raise DomainError(f"{name} requires nu >= -(n+1)/2, got nu={nu}, n={n}")
-    if x <= 0.0:
-        raise DomainError(f"{name} requires x > 0, got x={x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires finite x > 0, got x={x}")
 
 
 def _bi2_scaled(nu: float, n: float, x: float, offset: float) -> float:
@@ -191,8 +190,8 @@ def _check_damped_domain(gamma: float, nu: float, x: float, name: str) -> None:
         raise DomainError(f"{name} requires 0 < gamma < 1, got gamma={gamma}")
     if nu <= -1.5:
         raise DomainError(f"{name} requires nu > -3/2, got nu={nu}")
-    if x <= 0.0:
-        raise DomainError(f"{name} requires x > 0, got x={x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires finite x > 0, got x={x}")
 
 
 def _tail_scale(gamma: float, nu: float, offset: float) -> float:
@@ -320,8 +319,8 @@ def _bi78_d(gamma, nu, n, x, name: str) -> float:
     _check_ratio_domain(nu, n, name)
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"{name} requires 0 < gamma < 1, got gamma={gamma}")
-    if x <= 0.0:
-        raise DomainError(f"{name} requires x > 0, got x={x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires finite x > 0, got x={x}")
     d = d_constant(nu, n).value
     if gamma >= 1.0 / d:
         raise BoundNotApplicableError(
@@ -348,10 +347,10 @@ def upper_bi8(gamma: float, nu: float, n: float, x: float) -> float:
 
 
 def _check_corollary_domain(nu: float, x: float) -> None:
-    if nu <= 0.5:
-        raise DomainError(f"corollary requires nu > 1/2, got nu={nu}")
-    if x <= 0.0:
-        raise DomainError(f"corollary requires x > 0, got x={x}")
+    if not 0.5 < nu < math.inf:
+        raise DomainError(f"corollary requires finite nu > 1/2, got nu={nu}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"corollary requires finite x > 0, got x={x}")
 
 
 def corollary_middle(nu: float, x: float) -> float:
@@ -360,10 +359,12 @@ def corollary_middle(nu: float, x: float) -> float:
         x^(nu+1) / (sqrt(pi) 2^nu Gamma(nu+1/2))
             * 2F3(1, 1; 3/2, 2, nu+1/2; x^2/4)
 
-    which is x^(nu-1) times the undamped closed form at order nu-1.
+    which is x^(nu-1) times the undamped n = 0 integral at order nu-1,
+    leaving offset form through the same _leave as corollary_bounds.
     """
     _check_corollary_domain(nu, x)
-    return closed_form_times_power(nu - 1.0, x, nu + 1.0)
+    return _leave(lambda k: _power_series(nu - 1.0, 0.0, x, x - k).value, 0.0, nu - 1.0, x,
+                  "corollary_middle", nu - 1.0)
 
 
 def corollary_bounds(nu: float, x: float) -> tuple[float, float]:

@@ -394,8 +394,8 @@ ALL_CHECKS = (
 
 
 def run_verification(config: GridConfig | None = None) -> list[CheckResult]:
-    """Run every check of ALL_CHECKS; each distinct integral is computed
-    once per call, however many checks use it."""
+    """Run every check of ALL_CHECKS; each distinct GK15 panel is computed
+    once per call, however many quadratures use it."""
     config = config if config is not None else GridConfig()
     with quadrature_memo():
         return [check(config) for check in ALL_CHECKS]

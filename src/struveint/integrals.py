@@ -45,9 +45,9 @@ QUAD_MAX_SUBDIVISIONS = 2000
 # Term cap of the large-x expansion.
 _EXPANSION_MAX_TERMS = 100
 
-# Scaled quadratures by spec and GK15 panel tables by (gamma, nu, n) row
-# of the current quadrature_memo() block, or None outside one.
-_MEMO: ContextVar[tuple | None] = ContextVar("struveint_quadrature_memo", default=None)
+# GK15 panel tables by (gamma, nu, n) row of the current quadrature_memo()
+# block, or None outside one.
+_MEMO: ContextVar[dict | None] = ContextVar("struveint_quadrature_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,6 @@ class QuadratureResult:
     subdivisions: int
 
 
-def integrand(spec: IntegralSpec, t: float) -> float:
-    """exp(-gamma t) t^(-nu) L_{nu+n}(t), with the t = 0 limit value 0."""
-    if t < 0.0:
-        raise DomainError(f"integrand requires t >= 0, got t={t}")
-    return _panel_values(spec, 0.0, [t])[0]
-
-
 def _panel_values(spec: IntegralSpec, offset: float, ts: list[float]) -> list[float]:
     # exp(-offset) times the integrand at each node of ts: one power series
     # pass for those in (0, SCALED_SWITCH_X], struve_l_weighted for the rest.
@@ -115,14 +108,13 @@ def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
 
 @contextmanager
 def quadrature_memo():
-    """Evaluate each distinct quadrature once inside the with-block.
+    """Evaluate each distinct GK15 panel once inside the with-block.
 
-    integral_quadrature and log_integral_quadrature share one entry per
-    spec, from GK15 or from the large-x expansion, and the GK15 runs of a
-    (gamma, nu, n) row share their panels; the entries are dropped when
+    The quadratures of a (gamma, nu, n) row, whatever their upper limits,
+    share one table of panels by (lo, hi); the tables are dropped when
     the block exits, so nothing outlives it.
     """
-    token = _MEMO.set(({}, {}))
+    token = _MEMO.set({})
     try:
         yield
     finally:
@@ -136,9 +128,7 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     Returns (scaled value, scaled error, subdivisions, log offset) with
     true integral = exp(offset) * scaled value.
     """
-    specs, rows = _MEMO.get() or (None, None)
-    if specs is not None and spec in specs:
-        return specs[spec]
+    rows = _MEMO.get()
     offset = (1.0 - spec.gamma) * spec.x
     result = _expansion_scaled(spec, offset)
     if result is None:
@@ -154,8 +144,6 @@ def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
     if result[0] == 0.0 and offset > 1.0:  # unknown, not 0
         raise ToleranceNotMetError(f"integral_quadrature: exp(-{offset:g}) times "
                                    "the integral underflows", 0.0, math.inf, result[2])
-    if specs is not None:
-        specs[spec] = result
     return result
 
 
@@ -261,22 +249,17 @@ def integral_closed_form(nu: float, x: float) -> float:
     Raises OverflowError when the product is beyond binary64."""
     if nu <= -1.5:
         raise DomainError(f"closed form requires nu > -3/2, got nu={nu}")
-    if x < 0.0:
-        raise DomainError(f"closed form requires x >= 0, got x={x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"closed form requires finite x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
-    return closed_form_times_power(nu, x, 2.0)
-
-
-def closed_form_times_power(nu: float, x: float, power: float) -> float:
-    """x^(power-2) integral_closed_form(nu, x) for x > 0: the Gamma factor
-    in the log of the series' first term, lifted towards e^-700 by the whole
-    part j of log x^power, whose rest goes through unscale.  The 2F3 terms
-    are positive, so the one near the peak, k(k + nu + 3/2) = x^2/4, decides
-    an overflow of the series before it is summed."""
+    # The Gamma factor goes in the log of the first term, lifted towards
+    # e^-700 by the whole part j of log x^2, whose rest goes through
+    # unscale.  The 2F3 terms are positive, so the one near the peak,
+    # k(k + nu + 3/2) = x^2/4, decides an overflow before the sum.
     log_x = math.log(x)
     log_front = -math.log(SQRT_PI) - (nu + 1.0) * math.log(2.0) - log_gamma(nu + 1.5)
-    j = max(0, min(math.floor(power * log_x), math.ceil(-700.0 - log_front)))
+    j = max(0, min(math.floor(2.0 * log_x), math.ceil(-700.0 - log_front)))
     k = math.floor(0.5 * (math.hypot(nu + 1.5, x) - nu - 1.5))
     log_peak = (2 * k * log_x - (nu + 2 * k + 2) * math.log(2.0) - math.log(k + 1.0)
                 - log_gamma(k + 1.5) - log_gamma(k + nu + 1.5))  # front times term k
@@ -285,7 +268,7 @@ def closed_form_times_power(nu: float, x: float, power: float) -> float:
     # the 2F3 is the integrated series at n = 0: d_k = (3/2+k)(2+k)(nu+3/2+k)/(1+k)
     series, = _series(_power_den(nu, 0.0), [0.25 * x * x], [log_front + j], [0.0],
                       _series_cap(x), "pFq series")
-    return unscale(series, power * log_x - j, "integral_closed_form")
+    return unscale(series, 2.0 * log_x - j, "integral_closed_form")
 
 
 def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:

@@ -761,8 +761,9 @@ def test_bound_far_beyond_binary64_overflows(call):
 @pytest.mark.parametrize(
     "name,call",
     [("lower_bi4", lambda: lower_bi4(0.5, 0.0, 1e6)),
-     ("upper_bi7", lambda: upper_bi7(0.5, 0.0, 0.5, 1e6))],
-    ids=["bi4-1e6", "bi7-1e6"],
+     ("upper_bi7", lambda: upper_bi7(0.5, 0.0, 0.5, 1e6)),
+     ("corollary_middle", lambda: corollary_middle(1.0, 1e6))],
+    ids=["bi4-1e6", "bi7-1e6", "corollary-middle-1e6"],
 )
 def test_bound_overflow_decided_before_summing(monkeypatch, name, call):
     # the offset (1-gamma)x - k = 5e5 is past unscale's clamp, so no
@@ -803,33 +804,35 @@ def test_bound_beyond_binary64_below_exp_limit_overflows(call):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "name,call",
     [
-        lambda: integral_closed_form(0.0, 716.0),
-        lambda: corollary_middle(1.0, 716.0),
+        ("integral_closed_form", lambda: integral_closed_form(0.0, 716.0)),
+        ("corollary_middle", lambda: corollary_middle(1.0, 716.0)),
     ],
     ids=["closed-form", "corollary-middle"],
 )
-def test_closed_form_product_beyond_binary64_overflows(call):
+def test_closed_form_product_beyond_binary64_overflows(name, call):
     # the 2F3 series is finite at x = 716 but the closed form, about
     # exp(711.8), is not
-    with pytest.raises(OverflowError, match="^integral_closed_form overflows binary64$"):
+    with pytest.raises(OverflowError, match=f"^{name} overflows binary64$"):
         call()
 
 
 @pytest.mark.parametrize(
-    "call",
+    "message,call",
     [
-        lambda: integral_closed_form(0.0, 1000.0),
-        lambda: integral_closed_form(0.0, 1416.0),
-        lambda: corollary_middle(1.0, 1416.0),
+        ("pFq series", lambda: integral_closed_form(0.0, 1000.0)),
+        ("pFq series", lambda: integral_closed_form(0.0, 1416.0)),
+        ("corollary_middle", lambda: corollary_middle(1.0, 1416.0)),
     ],
     ids=["closed-form-1000", "closed-form-1416", "corollary-middle-1416"],
 )
-def test_closed_form_series_beyond_binary64_overflows(call):
+def test_closed_form_series_beyond_binary64_overflows(message, call):
     # there the 2F3 series itself passes DBL_MAX; its term cap follows
-    # from x = 2 sqrt(z), so it gets that far instead of stopping at 600
-    with pytest.raises(OverflowError, match="^pFq series overflows binary64$"):
+    # from x = 2 sqrt(z), so it gets that far instead of stopping at 600.
+    # corollary_middle sums it in offset form, where only the product
+    # overflows.
+    with pytest.raises(OverflowError, match=f"^{message} overflows binary64$"):
         call()
 
 

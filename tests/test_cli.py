@@ -296,3 +296,60 @@ def test_term_cap_variable_is_ignored(value, command, tmp_path):
     assert not with_variable.stderr.startswith("error: ")
     assert with_variable.stdout == without.stdout
     assert with_variable.exit_code == without.exit_code
+
+
+# ---------------------------------------------------------------------------
+# default output, byte for byte: a change that moves a printed cell
+# updates the literal here and names the move in CHANGES.md
+
+VERIFY_CSV = r"""check,status,points,skipped,worst_margin,witness,note
+oracle_triangle,pass,192,0,9.99993e-10,gamma=0.5 nu=0 n=0.5 x=20,rel tol 1e-09
+closed_form_agreement,pass,16,0,9.99966e-11,nu=1 x=1,rel tol 1e-10
+ordering,pass,616,896,0.000146805,bound=bi7 gamma=0.25 nu=-0.4 n=2 x=20,relative slack 1e-12
+equality_boundary,pass,18,0,9.99959e-11,pair=bi2-integral n=2.5 x=10,rel tol 1e-10
+tightness_large_x,pass,8,0,0.00167367,bound=bi1 gamma=0 nu=0 x=300 ratio=0.998326,ratio <= 1 and |x(1-ratio) - c_B| <= 10|c_B|/x
+tightness_small_x,pass,6,0,8.57142e-07,nu=0 n=1 x=0.01 ratio=1,"window [1, 1+0.001]"
+asymptote_large_x,pass,4,0,0.0174448,gamma=0 nu=0 x=300,|x(1-I/A) - c_A| <= 10|c_A|/x
+d_properties,pass,2005,0,0.00050991,prop=scan nu=0 n=0 x=5.17148,scan slack 0.0005
+struve_monotonicity,pass,53,0,4.12231e-09,nu=0.5 x=20,strict decrease in order
+integral_monotonicity,pass,144,0,0.274739,gamma=0.9 nu=3 n=0 x1=5 x2=20,strict increase in x
+"""
+
+TABLE1_CSV = r"""nu\x,0.5,5,10,25,50,100,250
+1,0.4959,0.2540,0.1089,0.0409,0.0202,0.0101,0.0040
+2.5,0.7979,0.6225,0.3708,0.1539,0.0784,0.0396,0.0159
+5,0.8992,0.8229,0.6374,0.3130,0.1678,0.0869,0.0355
+7.5,0.9329,0.8923,0.7741,0.4407,0.2482,0.1318,0.0547
+10,0.9498,0.9249,0.8472,0.5426,0.3205,0.1745,0.0735
+"""
+
+TABLE2_CSV = r"""nu\x,0.5,5,10,25,50,100,250
+1,0.0041,0.1939,0.1981,0.1034,0.0558,0.0290,0.0118
+2.5,0.0069,0.5184,0.9270,0.6847,0.4073,0.2213,0.0930
+5,0.0062,0.5679,1.6268,2.0626,1.4411,0.8462,0.3721
+7.5,0.0051,0.4985,1.7368,3.4231,2.7983,1.7750,0.8169
+10,0.0043,0.4285,1.6301,4.5028,4.2818,2.9312,1.4119
+"""
+
+DCONSTANTS_CSV = r"""nu,D,argmax_x,upper_bound
+0,1.1083,5.20441,2
+1,1.3302,5.31094,4
+3,1.6926,6.21714,8
+5,1.9891,7.08623,12
+10,2.5838,8.93042,22
+"""
+
+
+@pytest.mark.parametrize(
+    "args,want",
+    [
+        (["verify", "--format", "csv"], VERIFY_CSV),
+        (["table", "table1", "--format", "csv"], TABLE1_CSV),
+        (["table", "table2", "--format", "csv"], TABLE2_CSV),
+        (["table", "dconstants", "--format", "csv"], DCONSTANTS_CSV),
+    ],
+    ids=["verify", "table1", "table2", "dconstants"],
+)
+def test_default_csv_output_is_pinned(runner, args, want):
+    result = runner.invoke(cli, args)
+    assert (result.exit_code, result.stdout) == (0, want)

@@ -303,34 +303,17 @@ def test_run_verification_evaluates_its_panels_through_gk15(monkeypatch):
     assert len(panels) >= 1000
 
 
-def test_run_verification_makes_one_quadrature_per_distinct_spec(monkeypatch):
-    # each distinct spec is evaluated once, by GK15 or by the large-x
-    # expansion, which returns None where it does not apply
-    quadratures = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
-    expansions = []
-    expansion_scaled = integrals_mod._expansion_scaled
-
-    def counted_expansion(*args):
-        result = expansion_scaled(*args)
-        if result is not None:
-            expansions.append(args)
-        return result
-
-    monkeypatch.setattr(integrals_mod, "_expansion_scaled", counted_expansion)
-    requests = [
-        count_calls(monkeypatch, module, name)
-        for module, name in ((gridcheck_mod, "integral_quadrature"),
-                             (gridcheck_mod, "log_integral_quadrature"),
-                             (bounds_mod, "integral_quadrature"))
-    ]
-    config = GridConfig(**MEMO_GRID)
+def test_run_verification_evaluates_each_distinct_panel_once(monkeypatch):
+    # a repeated spec re-runs the adaptive loop, but every panel it asks
+    # for after the first comes from its (gamma, nu, n) row's table
+    evaluated = count_calls(monkeypatch, integrals_mod, "_gk15")
+    requests = count_calls(monkeypatch, integrals_mod, "_panel_scaled")
+    config = GridConfig()
     run_verification(config)
-    specs = [args[0] for calls in requests for args in calls]
-    distinct = len(set(specs))
-    assert len(specs) > distinct
-    assert len(quadratures) + len(expansions) == distinct
-    assert quadratures and expansions
-    # a second run on the same config object redoes the work: no cache
+    panels = {(spec.gamma, spec.nu, spec.n, lo, hi) for spec, _, _, lo, hi in requests}
+    assert len(evaluated) == len(panels)
+    assert len(requests) > len(panels)
+    # a second run on the same config object redoes the work: no table
     # survives the run
     run_verification(config)
-    assert len(quadratures) + len(expansions) == 2 * distinct
+    assert len(evaluated) == 2 * len(panels)

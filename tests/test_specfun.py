@@ -15,8 +15,17 @@ from scipy.special import modstruve
 
 import struveint.specfun as specfun_mod
 from conftest import count_calls, log_grid, rel_err
+from struveint.bounds import (
+    corollary_bounds,
+    corollary_middle,
+    lower_bi2,
+    lower_bi5,
+    upper_bi3,
+    upper_bi7,
+    upper_bi8,
+)
 from struveint.exceptions import ConvergenceError, DomainError
-from struveint.integrals import IntegralSpec, integral_power_series
+from struveint.integrals import IntegralSpec, integral_closed_form, integral_power_series
 from struveint.specfun import (
     SQRT_PI,
     gamma_fn,
@@ -564,6 +573,17 @@ def test_series_pass_equals_one_argument_calls():
         lambda: log_lower_incomplete_gamma(1.0, math.inf),
         lambda: pfq([1.0], [2.0], math.nan),
         lambda: pfq([math.nan], [2.0], 1.0),
+        lambda: lower_bi2(0.0, 0.0, math.inf),
+        lambda: upper_bi3(0.0, 0.0, math.nan),
+        lambda: lower_bi5(0.5, 0.0, math.nan),
+        lambda: upper_bi7(0.1, 0.0, 0.0, math.inf),
+        lambda: upper_bi8(0.1, 0.0, 0.0, math.nan),
+        lambda: corollary_bounds(2.0, math.nan),
+        lambda: corollary_bounds(math.inf, 1.0),
+        lambda: corollary_middle(2.0, math.nan),
+        lambda: corollary_middle(2.0, math.inf),
+        lambda: integral_closed_form(0.0, math.nan),
+        lambda: integral_closed_form(0.0, math.inf),
     ],
     ids=[
         "gamma_fn-nan",
@@ -577,6 +597,17 @@ def test_series_pass_equals_one_argument_calls():
         "regularized_gamma_p-inf-z",
         "pfq-nan-z",
         "pfq-nan-parameter",
+        "bi2-inf-x",
+        "bi3-nan-x",
+        "bi5-nan-x",
+        "bi7-inf-x",
+        "bi8-nan-x",
+        "corollary_bounds-nan-x",
+        "corollary_bounds-inf-order",
+        "corollary_middle-nan-x",
+        "corollary_middle-inf-x",
+        "integral_closed_form-nan-x",
+        "integral_closed_form-inf-x",
     ],
 )
 def test_non_finite_arguments_raise_domain_error(call):
