@@ -13,6 +13,7 @@ value and leaves that offset form through _leave and specfun.unscale.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -243,13 +244,21 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
     _check_ratio_domain(nu, n, "ratio_fn")
     if x <= 0.0:
         raise DomainError(f"ratio_fn requires x > 0, got x={x}")
-    large = _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu)
-    if large:
-        return large[0] / struve_l_scaled(nu + n, x).value
-    z, cap = 0.25 * x * x, _series_cap(x)
-    p, lsum = (_series(den, [z], [0.0], [x], cap, "ratio_fn")[0]
+    return _ratio_grid(nu, n, [x])[0]
+
+
+def _ratio_grid(nu: float, n: float, xs: list) -> list:
+    # ratio_fn at each x: the large-x expansion point by point, every
+    # series-route point in one _series call per sum, so P's and L's
+    # denominator tables are built once per grid
+    larges = [_expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) for x in xs]
+    rest = [x for x, large in zip(xs, larges) if not large]
+    zs, cap = [0.25 * x * x for x in rest], _series_cap(max(rest, default=0.0))
+    p, lsum = (_series(den, zs, [0.0] * len(rest), rest, cap, "ratio_fn")
                for den in (_power_den(nu + n, n), _struve_den(nu + n)))
-    return x / (n + 2.0) * (p / lsum)
+    series = iter([x / (n + 2.0) * (a / b) for x, a, b in zip(rest, p, lsum)])
+    return [large[0] / struve_l_scaled(nu + n, x).value if large else next(series)
+            for x, large in zip(xs, larges)]
 
 
 def _golden_max(f, a: float, b: float, xtol: float) -> float:
@@ -280,12 +289,16 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
     step = (math.log(D_SCAN_HI) - log_lo) / (D_SCAN_POINTS - 1)
     xs = [math.exp(log_lo + i * step) for i in range(D_SCAN_POINTS)]
     # Downwards from the top: below x = (n+2) top no point can beat top,
-    # as ratio_fn <= x/(n+2).  Ties keep the lowest index.
+    # as ratio_fn <= x/(n+2).  Ties keep the lowest index.  top only
+    # grows, so the points from (n+2) ratio_fn(xs[-1]) up are all the scan
+    # can reach; they are evaluated in one pass.
     best, top = D_SCAN_POINTS - 1, ratio_fn(nu, n, xs[-1])
-    for i in range(D_SCAN_POINTS - 2, -1, -1):
+    lo = bisect_left(xs, (n + 2.0) * top, 0, D_SCAN_POINTS - 1)
+    vals = _ratio_grid(nu, n, xs[lo:-1])
+    for i in range(D_SCAN_POINTS - 2, lo - 1, -1):
         if xs[i] < (n + 2.0) * top:
             break
-        val = ratio_fn(nu, n, xs[i])
+        val = vals[i - lo]
         if val >= top:
             best, top = i, val
     if best == 0 or best == D_SCAN_POINTS - 1:
@@ -379,8 +392,9 @@ def corollary_bounds(nu: float, x: float) -> tuple[float, float]:
 def bound_report(spec: IntegralSpec) -> BoundReport:
     """Evaluate the integral and every bound applicable at spec.
 
-    Inapplicable or domain-erroring bounds are recorded in .skipped with
-    the reason rather than failing the whole report.
+    Inapplicable or domain-erroring bounds, and bi7 and bi8 where the
+    scan for D finds no interior maximum (DSolverError), are recorded in
+    .skipped with the reason rather than failing the whole report.
     """
     report = BoundReport(spec=spec, integral=integral_quadrature(spec).value)
     gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
@@ -388,7 +402,7 @@ def bound_report(spec: IntegralSpec) -> BoundReport:
     def attempt(name, fn):
         try:
             report.applicable_bounds[name] = fn()
-        except DomainError as exc:  # BoundNotApplicableError included
+        except (DomainError, DSolverError) as exc:  # BoundNotApplicableError included
             report.skipped[name] = str(exc)
 
     if gamma == 0.0:

@@ -334,10 +334,9 @@ def check_d_properties(config: GridConfig) -> CheckResult:
     for nu, n in D_CHECK_PAIRS:
         d = bounds_mod.d_constant(nu, n)
         worst.update(2.0 * (nu + n + 1.0) - d.value, prop="cap", nu=nu, n=n)
-        for i in range(D_SCAN_CHECK_POINTS):
-            x = math.exp(log_lo + i * step)
-            worst.update(d.value + slack - bounds_mod.ratio_fn(nu, n, x),
-                         prop="scan", nu=nu, n=n, x=x)
+        xs = [math.exp(log_lo + i * step) for i in range(D_SCAN_CHECK_POINTS)]
+        for x, ratio in zip(xs, bounds_mod._ratio_grid(nu, n, xs)):
+            worst.update(d.value + slack - ratio, prop="scan", nu=nu, n=n, x=x)
     return worst.result("d_properties", f"scan slack {slack:g}")
 
 

@@ -30,7 +30,7 @@ from struveint.bounds import (
     upper_bi8,
 )
 from struveint.exceptions import BoundNotApplicableError, DomainError, DSolverError
-from struveint.gridcheck import D_CHECK_PAIRS, GridConfig
+from struveint.gridcheck import D_CHECK_PAIRS, D_SCAN_CHECK_POINTS, GridConfig
 from struveint.integrals import (
     IntegralSpec,
     _expansion_scaled,
@@ -369,6 +369,73 @@ def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
     assert [(a.hex(), b.hex()) for _, a, b, _ in golden] == [
         (bracket[0].hex(), bracket[1].hex())]
     assert (d.value.hex(), d.argmax_x.hex()) == (value.hex(), argmax.hex())
+
+
+# D and its argmax at the 12 default pairs, the D_CHECK_PAIRS and a pair
+# whose argmax lies in the large-x expansion range, as float.hex
+D_PINS = {
+    (-0.4, 0.0): ("0x1.045237e2cda53p+0", "0x1.9e8142479b7e8p+2"),
+    (-0.4, 0.5): ("0x1.03e7b4cd2259bp+0", "0x1.eb388d10b8b8cp+2"),
+    (-0.4, 2.0): ("0x1.00880a96bd0a8p+0", "0x1.9bcd0ac843f3ap+4"),
+    (0.0, 0.0): ("0x1.1bba572f8d0d4p+0", "0x1.4d150490a685ep+2"),
+    (0.0, 0.5): ("0x1.1482d2be0c26dp+0", "0x1.9e11bce37f56cp+2"),
+    (0.0, 2.0): ("0x1.0743e930ca642p+0", "0x1.7810691d6f7b0p+3"),
+    (1.0, 0.0): ("0x1.5486dd8f8610dp+0", "0x1.53e68594d4529p+2"),
+    (1.0, 0.5): ("0x1.3e3c1539d6030p+0", "0x1.97bbb33d148c0p+2"),
+    (1.0, 2.0): ("0x1.1c8ec2cb9f876p+0", "0x1.429100a5b3d8dp+3"),
+    (3.0, 0.0): ("0x1.b14d9bd8f3da6p+0", "0x1.8de5acd543b3dp+2"),
+    (3.0, 0.5): ("0x1.8659e0a28b4d0p+0", "0x1.c93d2d7d4263ap+2"),
+    (3.0, 2.0): ("0x1.4629042b1ba75p+0", "0x1.46bda9df74156p+3"),
+    (5.0, 0.0): ("0x1.fd362afa192a1p+0", "0x1.c584dd3fed810p+2"),
+    (10.0, 0.0): ("0x1.4ab89746d1740p+1", "0x1.1dc602b3cd47bp+3"),
+    (-0.458, 3.365): ("0x1.00070377204d0p+0", "0x1.8b8119e9262cfp+7"),
+}
+
+
+def test_d_pins_cover_the_default_and_check_pairs():
+    config = GridConfig()
+    assert {(nu, n) for nu in config.nu_values for n in config.n_values} | set(
+        D_CHECK_PAIRS) | {(-0.458, 3.365)} == set(D_PINS)
+    argmax = float.fromhex(D_PINS[-0.458, 3.365][1])
+    assert _expansion_scaled(IntegralSpec(0.0, -0.458, 3.365, argmax), argmax, -0.458)
+
+
+@pytest.mark.parametrize("nu,n", sorted(D_PINS))
+@pytest.mark.parametrize("points", [bounds_mod.D_SCAN_POINTS, D_SCAN_CHECK_POINTS],
+                         ids=["d-scan", "d-properties"])
+def test_ratio_grid_equals_per_point_ratio(nu, n, points):
+    # one series pass over a grid gives each point's ratio bit for bit
+    xs = log_grid(bounds_mod.D_SCAN_LO, bounds_mod.D_SCAN_HI, points)
+    assert [r.hex() for r in bounds_mod._ratio_grid(nu, n, xs)] == [
+        ratio_fn(nu, n, x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("nu,n", sorted(D_PINS))
+def test_d_constant_bits_are_pinned(nu, n):
+    bounds_mod._d_constant_cached.cache_clear()
+    try:
+        d = d_constant(nu, n)
+    finally:
+        bounds_mod._d_constant_cached.cache_clear()
+    assert (d.value.hex(), d.argmax_x.hex()) == D_PINS[nu, n]
+
+
+def test_d_scan_sums_its_grid_in_one_pass(monkeypatch):
+    # two _series calls (P and L) per _ratio_grid call: one for the scan's
+    # grid, one per single-point ratio_fn (the top, each golden-section
+    # step and the final value), none per grid point
+    series = count_calls(monkeypatch, bounds_mod, "_series")
+    ratios = count_calls(monkeypatch, bounds_mod, "ratio_fn")
+    golden = count_calls(monkeypatch, bounds_mod, "_golden_max")
+    bounds_mod._d_constant_cached.cache_clear()
+    try:
+        d_constant(1.0, 0.0)
+    finally:
+        bounds_mod._d_constant_cached.cache_clear()
+    (_, a, b, xtol), = golden
+    steps = math.ceil(math.log(xtol / (b - a)) / math.log(bounds_mod._INV_PHI))
+    assert len(ratios) == 1 + (steps + 1) + 1
+    assert len(series) == 2 * (1 + len(ratios))
 
 
 def test_d_solver_reports_boundary_supremum(monkeypatch):
@@ -928,6 +995,21 @@ def test_report_skips_b7_b8_where_d_is_undefined():
     assert set(report.applicable_bounds) == {"bi4", "bi5"}
     assert "requires nu > -(n+1)/2" in report.skipped["bi7"]
     assert "requires nu > -(n+1)/2" in report.skipped["bi8"]
+
+
+@pytest.mark.parametrize("nu,n", [(0.0, 30.0), (-0.4, 8.0)])
+def test_report_skips_b7_b8_where_the_d_scan_fails(nu, n):
+    # the ratio's largest grid value is at the right edge, so D has no
+    # interior maximum: the report skips bi7 and bi8 with the scan's
+    # message, while the bounds themselves keep raising
+    with pytest.raises(DSolverError) as info:
+        upper_bi7(0.5, nu, n, 1.0)
+    report = bound_report(IntegralSpec(0.5, nu, n, 1.0))
+    assert report.applicable_bounds == {}
+    assert report.skipped["bi7"] == report.skipped["bi8"] == str(info.value)
+    assert "right edge" in report.skipped["bi7"]
+    with pytest.raises(DSolverError):
+        upper_bi8(0.5, nu, n, 1.0)
 
 
 def test_report_skips_b2_b3_below_boundary():

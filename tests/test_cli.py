@@ -248,6 +248,18 @@ def test_verify_evaluation_error_exits_cleanly(runner, tmp_path, x_values):
     assert result.stdout == ""
 
 
+def test_verify_reports_where_the_d_scan_fails(runner, tmp_path):
+    # D has no interior maximum at n = 30, so bi7 and bi8 are skipped
+    # there instead of ending the run with an error
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"n_values": [0.0, 30.0]}))
+    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    rows = {line.split(",")[0]: line.split(",") for line in result.stdout.splitlines()}
+    assert rows["ordering"][1] == "pass" and int(rows["ordering"][3]) > 0
+
+
 def test_verify_skips_zero_references(runner, tmp_path):
     # Every integral at x = 1e-170, and all but the n = 0 ones at 1e-160,
     # underflow to exactly 0; no relative error is taken against them.

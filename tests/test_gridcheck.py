@@ -18,12 +18,14 @@ from struveint.bounds import BoundCoefficients, coefficients
 from struveint.exceptions import DomainError
 from struveint.gridcheck import (
     ALL_CHECKS,
+    D_CHECK_PAIRS,
     DEFAULT_TOLERANCES,
     TIGHTNESS_NU,
     GridConfig,
     _Worst,
     check_asymptote,
     check_closed_form_agreement,
+    check_d_properties,
     check_equality_boundary,
     check_integral_monotonicity,
     check_oracle_triangle,
@@ -191,6 +193,17 @@ def test_struve_monotonicity_check():
     result = check_struve_monotonicity(GridConfig())
     assert result.passed
     assert result.worst_margin > 0.0
+
+
+def test_d_properties_sums_each_dense_scan_in_one_pass(monkeypatch):
+    # with D memoized, each pair's 400-point scan is one _ratio_grid call:
+    # two _series calls (P and L), none per point
+    for nu, n in D_CHECK_PAIRS:
+        bounds_mod.d_constant(nu, n)
+    series = count_calls(monkeypatch, bounds_mod, "_series")
+    result = check_d_properties(GridConfig())
+    assert result.passed
+    assert len(series) == 2 * len(D_CHECK_PAIRS)
 
 
 def test_corrupted_coefficients_detected(monkeypatch):
