@@ -36,7 +36,6 @@ from .specfun import (
     _series_cap,
     _struve_den,
     log_gamma,
-    log_lower_incomplete_gamma,
     struve_l_scaled,
     struve_l_weighted,
     unscale,
@@ -205,8 +204,13 @@ def lower_bi4(gamma: float, nu: float, x: float) -> float:
     integral."""
     _check_damped_domain(gamma, nu, x, "bi4")
     u, offset = gamma * x, (1.0 - gamma) * x
-    # 1 - (1+u)e^-u is gamma_low(2, u), a positive series; 0 if u underflows
-    poly = math.exp(log_lower_incomplete_gamma(2.0, u)) if u > 0.0 else 0.0
+    # 1 - (1+u)e^-u: below u = 1, where its two parts cancel, the positive
+    # series u^2 e^-u sum_j u^j / (2 3 ... (j+2)); 0 if u underflows
+    if u >= 1.0:
+        poly = -math.expm1(-u) - u * math.exp(-u)
+    else:
+        poly = _series(lambda k: k + 3.0, [u], [2.0 * math.log(u) - _LN2], [u],
+                       _series_cap(u), "lower_bi4")[0] if u > 0.0 else 0.0
     return _leave(lambda k: (_power_series(nu, 0.0, x, x - k).value
                              - poly * _tail_scale(gamma, nu, offset - k)) / (1.0 - gamma),
                   gamma, nu, x, "lower_bi4")

@@ -9,7 +9,8 @@ evaluated three ways: a generalized-hypergeometric closed form for the
 undamped n = 0 case, adaptive quadrature for everything (replaced by the
 integrated Hankel expansion at large (1-gamma)x, where a proven bound
 says it is accurate), and a termwise series (plain powers for gamma = 0,
-lower incomplete gamma otherwise) that serves as an independent oracle.
+times Kummer weights otherwise), an oracle that shares only the series
+kernel with the quadrature.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ from .specfun import (
     SCALED_SWITCH_X,
     SQRT_TWO_PI,
     SeriesEval,
+    _EPS,
+    _LN2,
+    _RESCALE,
+    _RESCALE_BITS,
     _series,
     _series_cap,
     _struve_series,
     log_gamma,
-    log_lower_incomplete_gamma,
     struve_l_weighted,
     unscale,
 )
@@ -287,10 +291,14 @@ def _power_series(nu: float, n: float, x: float, offset: float) -> SeriesEval:
         raise DomainError(f"upper limit must be finite and nonnegative, got x={x}")
     if x == 0.0:
         return SeriesEval(0.0, 0.0, 0)
-    log_first = ((nu + n + 1.0) * math.log(0.5) + (n + 2.0) * math.log(x)
-                 - math.log(n + 2.0) - log_gamma(1.5) - log_gamma(nu + n + 1.5))
-    return _series(_power_den(nu + n, n), [0.25 * x * x], [log_first], [offset],
-                   _series_cap(x), "integral_power_series", True)[0]
+    return _series(_power_den(nu + n, n), [0.25 * x * x], [_power_log_first(nu, n, x)],
+                   [offset], _series_cap(x), "integral_power_series", True)[0]
+
+
+def _power_log_first(nu: float, n: float, x: float) -> float:
+    # log of the integrated series' first term
+    return ((nu + n + 1.0) * math.log(0.5) + (n + 2.0) * math.log(x)
+            - math.log(n + 2.0) - log_gamma(1.5) - log_gamma(nu + n + 1.5))
 
 
 def _power_den(mu: float, n: float):
@@ -299,15 +307,16 @@ def _power_den(mu: float, n: float):
 
 
 def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
-    """Termwise incomplete-gamma evaluation of the damped integral:
+    """Termwise series of the damped integral, z = gamma x, s_k = n + 2k + 2:
 
-        sum over k of (1/2)^(nu+n+2k+1) / (Gamma(k+3/2) Gamma(k+nu+n+3/2))
-                      * gamma^-(n+2k+2) * gamma_low(n+2k+2, gamma x).
+        exp(-z) * sum over k of u_k w(s_k),
 
-    Requires gamma > 0; the undamped case is integral_power_series.
-    Each term is assembled in log space, which keeps the damping powers
-    gamma^-(n+2k+2) from overflowing on their own; the estimate adds the
-    largest log term's rounding, max |log t_k| eps |sum|.
+    u_k the k-th term of integral_power_series and w the Kummer weight of
+    _kummer_weights, so the k-th term is (1/2)^(nu+n+2k+1) gamma^-s_k
+    gamma_low(s_k, z) / (Gamma(k+3/2) Gamma(k+nu+n+3/2)).  Requires gamma > 0
+    (else integral_power_series).  One _series pass, d_k w(s_k) / w(s_{k+1})
+    for the undamped d_k: as w >= 1 falls in k, each term is at most the
+    undamped one next to its partial sum, so the undamped term count bounds it.
     """
     if spec.gamma <= 0.0:
         raise DomainError(
@@ -315,32 +324,40 @@ def integral_series_oracle(spec: IntegralSpec) -> SeriesEval:
             "use integral_power_series for the undamped case"
         )
     gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
-    log_half = math.log(0.5)
-    log_gam = math.log(gamma)
-    gx = gamma * x
+    name, z, q = "integral_series_oracle", gamma * x, 0.25 * x * x
+    log_first, den = _power_log_first(nu, n, x), _power_den(nu + n, n)
+    count = _series(den, [q], [log_first], [x], _series_cap(x), name, True)[0].terms_used
+    log_w, ratios = _kummer_weights(n + 2.0, z, count)
+    out, = _series(lambda k: den(k) * ratios[k], [q], [log_first + log_w], [z],
+                   count + 1, name, True)
+    # the kernel counts the first term's log at the size of log_first + log_w;
+    # log_w (about z) carries its own rounding where log_first cancels it
+    return SeriesEval(out.value, out.abs_error_estimate + abs(log_w) * _EPS * out.value,
+                      out.terms_used)
 
-    def log_term(k: int) -> float:
-        s = n + 2.0 * k + 2.0
-        return ((nu + n + 2.0 * k + 1.0) * log_half - log_gamma(k + 1.5)
-                - log_gamma(k + nu + n + 1.5) - s * log_gam
-                + log_lower_incomplete_gamma(s, gx))
 
-    first = prev = log_term(0)
-    big = abs(prev)
+def _kummer_weights(s: float, z: float, count: int) -> tuple[float, list[float]]:
+    """log w(s) and w(s+2k) / w(s+2k+2) for k < count, where w(s) =
+    sum_j z^j / ((s+1) ... (s+j)) = s z^-s e^z gamma_low(s, z) (DLMF 8.5).
 
-    def den(k: int) -> float:
-        nonlocal prev, big
-        cur = log_term(k + 1)
-        # 1 / d is the term ratio exp(cur - prev), 0 where it underflows
-        d = math.exp(prev - cur) if prev - cur < 709.0 else math.inf
-        prev, big = cur, max(big, abs(cur))
-        return d
-
-    out, = _series(den, [1.0], [first], [0.0], _series_cap(x), "integral_series_oracle", True)
-    # each term carries the rounding of its own log, which the kernel
-    # counts for the first term only; the terms are positive
-    err = out.abs_error_estimate + big * math.ulp(1.0) * out.value
-    return SeriesEval(out.value, err, out.terms_used)
+    w(s) = 1 + z w(s+1) / (s+1) is carried down, its stable direction
+    (DLMF 8.8; Gautschi 1979): an error in w(s+1) reaches w(s) times
+    1 - 1/w(s) <= z/(s+1).  It starts from w = 1 so far above s + 2 count
+    and 2z that the start's error, at most rho = z/(s+base+1) <= 1/2 and
+    times rho per step, is below 2^-56 there.  w, like e^z, is kept as w 2^e.
+    """
+    base = max(2 * count, math.ceil(2.0 * z - s))
+    rho = z / (s + base + 1.0)
+    top = base + (math.ceil(39.0 / -math.log(rho)) if rho > 0.0 else 0)
+    w, one, e, above, ratios = 1.0, 1.0, 0, 1.0, []
+    for i in range(top - 1, -1, -1):
+        w = one + z * w / (s + i + 1.0)
+        if i % 2 == 0 and i <= 2 * count:  # the first ratio, at 2 count, is dropped
+            ratios.append(w / above)
+            above = w
+        if w > _RESCALE:
+            w, above, one, e = w / _RESCALE, above / _RESCALE, one / _RESCALE, e + _RESCALE_BITS
+    return math.log(w) + e * _LN2, ratios[:0:-1]
 
 
 def log_asymptotic_integral(spec: IntegralSpec, offset: float = 0.0,

@@ -1,12 +1,11 @@
 """Scalar special functions underlying the integral bounds.
 
-Gamma and log-gamma (the stdlib's, behind domain checks), the lower
-incomplete gamma function in log form, generalized hypergeometric
-series, and the modified Struve function of the first kind L_nu in
-plain, exponentially scaled and weighted form (past x = 30 from its
-large-x expansions where they converge).  One kernel, _series, sums
-every power series the package forms, L_mu's, the integrated power
-series, the closed form's 2F3, the incomplete gamma's and the oracle's,
+Gamma and log-gamma (the stdlib's, behind domain checks), generalized
+hypergeometric series, and the modified Struve function of the first
+kind L_nu in plain, exponentially scaled and weighted form (past x = 30
+from its large-x expansions where they converge).  One kernel, _series,
+sums every power series the package forms (L_mu's, the integrated
+series, the closed form's 2F3, the oracle's and bi4's gamma_low(2, u))
 for a list of arguments at once; all have positive terms.  The caller
 gives it the term cap; it raises ConvergenceError (cap run out) or
 OverflowError (sum beyond binary64).  Everything here is a pure
@@ -32,9 +31,6 @@ SCALED_SWITCH_X = 30.0
 
 #: Term cap of a series in x up to x = 500 (_series_cap).
 _SERIES_CAP = 600
-
-#: Term and iteration cap of the incomplete gamma series and fraction.
-_INCGAMMA_CAP = 10000
 
 # _series divides its partial sum by _RESCALE (an exact power of two)
 # whenever the sum passes it, and starts from a mantissa near 1.
@@ -293,52 +289,3 @@ def _struve_asymptotic(
     err = trunc + _EPS * ((terms + 1) * (scale * habs + mabs)
                           + (abs(power * lx) + lx) * abs(total))
     return SeriesEval(_ldexp(total, bits, name), math.ldexp(err, bits), terms)
-
-
-def _gcf_q(s: float, z: float) -> float:
-    # Upper regularized Q(s, z) by modified Lentz; valid for z >= s+1.
-    tiny = 1e-300
-    b = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _INCGAMMA_CAP):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        if abs(delt - 1.0) < 1e-16:
-            break
-    else:
-        raise ConvergenceError(
-            f"incomplete gamma continued fraction did not converge within "
-            f"{_INCGAMMA_CAP} iterations (s={s}, z={z})"
-        )
-    return math.exp(s * math.log(z) - z - log_gamma(s)) * h
-
-
-def log_lower_incomplete_gamma(s: float, z: float) -> float:
-    """log of the lower incomplete gamma, the integral of t^(s-1) exp(-t)
-    over (0, z); finite for s far beyond the point where gamma_fn
-    overflows.  Requires z > 0.
-
-    Series expansion for z < s+1, Lentz continued fraction for the
-    complement otherwise (the classic split).  Raises ConvergenceError
-    when either runs out of its 10,000 terms.
-    """
-    if not 0.0 < z < math.inf:
-        raise DomainError(f"log_lower_incomplete_gamma needs finite z > 0, got z={z}")
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"log_lower_incomplete_gamma needs finite s > 0, got s={s}")
-    if z < s + 1.0:  # z^s e^-z sum z^k / (s (s+1) ... (s+k))
-        out, = _series(lambda k: s + k + 1.0, [z], [-math.log(s)], [0.0], _INCGAMMA_CAP,
-                       "incomplete gamma series")
-        return s * math.log(z) - z + math.log(out)
-    return math.log1p(-_gcf_q(s, z)) + log_gamma(s)

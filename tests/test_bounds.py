@@ -195,6 +195,22 @@ def test_bi4_at_small_gamma_x_matches_mpmath(gamma, x):
         assert float(abs((got - want) / want)) < 1e-13
 
 
+@pytest.mark.parametrize("gamma,x", [(0.5, 0.02), (0.5, 1.98), (0.5, 2.0), (0.5, 2.02),
+                                     (0.9, 1.2), (0.25, 3.9), (0.9, 30.0)])
+def test_bi4_either_side_of_u_1_matches_mpmath(gamma, x):
+    # 1 - (1+u)e^-u is a series below u = gamma x = 1, expm1 from there
+    mp = pytest.importorskip("mpmath")
+    got = lower_bi4(gamma, 0.0, x)
+    with mp.workdps(50):
+        want = _mp_bi4(mp, gamma, x)
+        assert float(abs((got - want) / want)) < 1e-14
+
+
+def test_bi4_is_continuous_at_u_1():
+    below, at = lower_bi4(0.5, 0.0, math.nextafter(2.0, 0.0)), lower_bi4(0.5, 0.0, 2.0)
+    assert 0.0 <= at - below <= 1e-15 * at
+
+
 def test_bi4_where_gamma_x_underflows():
     # gamma x rounds to 0 at the smallest double; bi4, about x^2, is 0 too
     assert lower_bi4(0.5, 0.0, 5e-324) == 0.0

@@ -255,7 +255,7 @@ def test_power_series_scaled_consistency():
 
 
 # ---------------------------------------------------------------------------
-# termwise incomplete-gamma oracle (gamma > 0)
+# termwise oracle, Kummer weights on the undamped series (gamma > 0)
 
 
 def test_oracle_frozen_value():
@@ -277,14 +277,40 @@ def test_oracle_vanishes_with_x():
 
 
 def test_oracle_estimate_counts_the_log_terms():
-    # each term's ratio is exp of a difference of log terms, whose rounding
-    # the estimate must carry: this spec is off by 5.4e-15 relative and
-    # claimed 5.0e-15 when only the first log term was counted
+    # this spec was off by 5.4e-15 relative and claimed 5.0e-15 when the
+    # terms were exps of per-term logs and only the first one's rounding
+    # was counted; the Kummer-weight sum takes the log of its first term only
     spec = IntegralSpec(0.08142134805239039, 0.0, 2.0, 0.670407796966137)
     got = integral_series_oracle(spec)
     with mpmath.workdps(30):
         want = reference_integral(spec.gamma, spec.nu, spec.n, spec.x)
         assert abs(got.value - want) <= got.abs_error_estimate
+
+
+def test_oracle_where_gamma_x_underflows():
+    # gamma x rounds to 0, so every Kummer weight is 1 and the damped sum
+    # is the undamped one; exp(-gamma t) differs from 1 by below 1e-324
+    got = integral_series_oracle(IntegralSpec(5e-324, 0.0, 0.0, 0.1))
+    assert abs(got.value - 0.0031848677217368717) <= got.abs_error_estimate
+
+
+def test_oracle_overflow_names_the_oracle():
+    with pytest.raises(OverflowError) as info:
+        integral_series_oracle(IntegralSpec(0.5, 1.0, 0.0, 1500.0))
+    assert str(info.value) == "integral_series_oracle overflows binary64"
+
+
+@pytest.mark.parametrize("x", [1.0, 300.0])
+def test_oracle_work_does_not_grow_with_the_terms(x, monkeypatch):
+    # the Gamma factors enter the first term's log only, whatever the
+    # term count: no log_gamma per term, and one series pass for the term
+    # count and one for the damped sum
+    lgammas = count_calls(monkeypatch, integrals_mod, "log_gamma")
+    passes = count_calls(monkeypatch, integrals_mod, "_series")
+    out = integral_series_oracle(IntegralSpec(0.5, 1.0, 0.5, x))
+    assert out.terms_used > (100 if x > 1.0 else 0)
+    assert len(lgammas) == 2
+    assert len(passes) == 2
 
 
 def test_oracle_requires_damping():

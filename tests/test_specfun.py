@@ -13,12 +13,14 @@ import mpmath
 import pytest
 from scipy.special import modstruve
 
+import struveint.integrals as integrals_mod
 import struveint.specfun as specfun_mod
 from conftest import count_calls, log_grid, rel_err
 from struveint.bounds import (
     corollary_bounds,
     corollary_middle,
     lower_bi2,
+    lower_bi4,
     lower_bi5,
     upper_bi3,
     upper_bi7,
@@ -30,7 +32,6 @@ from struveint.specfun import (
     SQRT_PI,
     gamma_fn,
     log_gamma,
-    log_lower_incomplete_gamma,
     pfq,
     struve_l,
     struve_l_scaled,
@@ -117,45 +118,49 @@ def test_log_gamma_matches_stdlib(x):
 
 
 # ---------------------------------------------------------------------------
-# lower incomplete gamma
+# lower incomplete gamma, in the Kummer form of the oracle's weights
 
 
-def gamma_low(s: float, z: float) -> float:
-    return math.exp(log_lower_incomplete_gamma(s, z))
+def kummer_weight(s: float, z: float) -> float:
+    # w(s) = s z^-s e^z gamma_low(s, z), carried down by the oracle
+    return math.exp(integrals_mod._kummer_weights(s, z, 0)[0])
 
 
 @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 3.0, 10.0])
 def test_incgamma_s1_closed_form(z):
-    assert rel_err(gamma_low(1.0, z), -math.expm1(-z)) < 1e-13
+    # gamma_low(1, z) = 1 - e^-z, so w(1) = (e^z - 1) / z
+    assert rel_err(kummer_weight(1.0, z), math.expm1(z) / z) < 1e-13
 
 
 def test_incgamma_2_1_by_parts():
-    # integral of t e^-t over (0, 1) = 1 - 2/e by parts
-    assert rel_err(gamma_low(2.0, 1.0), 1.0 - 2.0 / math.e) < 1e-13
+    # integral of t e^-t over (0, 1) = 1 - 2/e by parts, so w(2) = 2 (e - 2) at z = 1
+    assert rel_err(kummer_weight(2.0, 1.0), 2.0 * (math.e - 2.0)) < 1e-13
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 7.0, 20.0, 80.0])
 @pytest.mark.parametrize("z", [0.05, 1.0, 4.0, 18.0, 60.0])
 def test_incgamma_matches_mpmath(s, z):
-    want = float(mpmath.gammainc(s, 0, z))
-    assert rel_err(gamma_low(s, z), want) < 1e-12
+    want = float(s * mpmath.mpf(z) ** -s * mpmath.exp(z) * mpmath.gammainc(s, 0, z))
+    assert rel_err(kummer_weight(s, z), want) < 1e-13
 
 
 def test_incgamma_series_non_convergence_raises(monkeypatch):
-    # gamma_low(1e9, 1e9 - 1) is finite, but its series needs ~3e5 terms
-    with pytest.raises(ConvergenceError):
-        log_lower_incomplete_gamma(1e9, 1e9 - 1.0)
-    # z >= s + 1 takes the continued fraction, here cut to one iteration
-    monkeypatch.setattr(specfun_mod, "_INCGAMMA_CAP", 2)
-    with pytest.raises(ConvergenceError, match="continued fraction"):
-        log_lower_incomplete_gamma(2.0, 5.0)
+    # lower_bi4 sums gamma_low(2, u) as a series below u = 1 only; cut to
+    # two terms, that series names lower_bi4, and past u = 1 the closed
+    # form leaves the cut to the undamped integral's series
+    monkeypatch.setattr(specfun_mod, "_SERIES_CAP", 2)
+    with pytest.raises(ConvergenceError, match="lower_bi4"):
+        lower_bi4(0.5, 0.0, 1.9)
+    with pytest.raises(ConvergenceError, match="integral_power_series"):
+        lower_bi4(0.5, 0.0, 2.0)
 
 
 def test_incgamma_domain():
+    # u = gamma x of lower_bi4's gamma_low(2, u) must be positive
     with pytest.raises(DomainError):
-        log_lower_incomplete_gamma(0.0, 1.0)
+        lower_bi4(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
-        log_lower_incomplete_gamma(1.0, -0.1)
+        lower_bi4(0.5, 0.0, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +574,8 @@ def test_series_pass_equals_one_argument_calls():
         lambda: struve_l_scaled(0.0, math.inf),
         lambda: struve_l_scaled(0.0, math.nan),
         lambda: IntegralSpec(0.5, 0.0, 0.0, math.inf),
-        lambda: log_lower_incomplete_gamma(math.nan, 1.0),
-        lambda: log_lower_incomplete_gamma(1.0, math.inf),
+        lambda: lower_bi4(math.nan, 0.0, 1.0),
+        lambda: lower_bi4(0.5, 0.0, math.inf),
         lambda: pfq([1.0], [2.0], math.nan),
         lambda: pfq([math.nan], [2.0], 1.0),
         lambda: lower_bi2(0.0, 0.0, math.inf),
@@ -593,8 +598,8 @@ def test_series_pass_equals_one_argument_calls():
         "struve_l_scaled-inf-x",
         "struve_l_scaled-nan-x",
         "IntegralSpec-inf-x",
-        "regularized_gamma_p-nan-s",
-        "regularized_gamma_p-inf-z",
+        "bi4-nan-gamma",
+        "bi4-inf-x",
         "pfq-nan-z",
         "pfq-nan-parameter",
         "bi2-inf-x",
