@@ -7,7 +7,7 @@ two-sided bounds on the 2F3 expression.
 
 The bound values are assembled from series, never from quadrature, so
 they are deterministic.  Each is formed as exp(k - (1-gamma)x) times its
-value and leaves that offset form through _leave and specfun.unscale.
+value and leaves that offset form through integrals._leave.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import lru_cache
 from .exceptions import BoundNotApplicableError, DomainError, DSolverError
 from .integrals import (
     IntegralSpec,
-    _damping_residual,
     _expansion_scaled,
+    _leave,
     _power_den,
     _power_series,
     integral_power_series,
@@ -29,8 +29,6 @@ from .integrals import (
 )
 from .specfun import (
     SQRT_PI,
-    UNSCALE_MAX_OFFSET,
-    _DBL_MIN,
     _LN2,
     _series,
     _series_cap,
@@ -38,7 +36,6 @@ from .specfun import (
     log_gamma,
     struve_l_scaled,
     struve_l_weighted,
-    unscale,
 )
 
 #: Grid used by the supremum scan: log-spaced points on [1e-3, 500].
@@ -144,31 +141,6 @@ def _bi3_scaled(nu: float, n: float, x: float, offset: float) -> float:
     return (lead * struve_l_weighted(nu + n + 1.0, x, -nu, 0.0, offset).value
             - second * struve_l_weighted(nu + n + 3.0, x, -nu, 0.0, offset).value
             + (coefs.b * x ** (n + 4.0) - coefs.c * x ** (n + 2.0)) * math.exp(-offset))
-
-
-def _leave(scaled, gamma: float, nu: float, x: float, name: str,
-           power: float = 0.0) -> float:
-    # x^power exp((1-gamma)x - k) scaled(k), restoring fl((1-gamma)x)'s
-    # rounding (x < 1e300).  The whole k in [0, (1-gamma)x] near log x^nu
-    # keeps a bound's x^-nu from underflowing it.  The whole part j of
-    # log x^power joins the offset (offset - k + j = offset where j = k),
-    # its rest multiplies.  A body that underflows, as at corollary_bounds(300,
-    # 700), takes up to 700 of j (exp(-offset) stays finite) where that makes
-    # it a normal double.  Past unscale's clamp any nonzero value overflows.
-    log_x = math.log(x)
-    offset = (1.0 - gamma) * x
-    k = float(math.floor(max(0.0, min(nu * log_x, offset))))
-    j = math.floor(power * log_x)
-    lift, shift = offset - k + j, min(j, 700)
-    value = scaled(k) if lift <= UNSCALE_MAX_OFFSET else 0.0
-    if abs(value) < _DBL_MIN and shift > 0 and lift - shift <= UNSCALE_MAX_OFFSET:
-        lifted = scaled(k + shift)
-        if abs(lifted) >= _DBL_MIN:
-            value, lift = lifted, lift - shift
-    if lift > UNSCALE_MAX_OFFSET:
-        raise OverflowError(f"{name} overflows binary64")
-    residual = _damping_residual(gamma, x, offset) if gamma and x < 1e300 else 0.0
-    return unscale(value * math.exp(power * log_x - j + residual), lift, name)
 
 
 def lower_bi2(nu: float, n: float, x: float) -> float:

@@ -10,7 +10,8 @@ undamped n = 0 case, adaptive quadrature for everything (replaced by the
 integrated Hankel expansion at large (1-gamma)x, where a proven bound
 says it is accurate), and a termwise series (plain powers for gamma = 0,
 times Kummer weights otherwise), an oracle that shares only the series
-kernel with the quadrature.
+kernel with the quadrature.  Each value, here and in bounds, is formed
+in the one offset form of _offset_form and left through _leave or unscale.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from functools import partial
 from .exceptions import DomainError, ToleranceNotMetError
 from .quadrature import _gk15, adaptive_quadrature
 from .specfun import (
-    SQRT_PI,
     SCALED_SWITCH_X,
     SQRT_TWO_PI,
+    UNSCALE_MAX_OFFSET,
     SeriesEval,
+    _DBL_MIN,
     _EPS,
     _LN2,
     _RESCALE,
@@ -97,16 +99,17 @@ def _panel_values(spec: IntegralSpec, offset: float, ts: list[float]) -> list[fl
 
 def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
                   lo: float, hi: float) -> tuple[float, float]:
-    # One GK15 panel in its own offset form fl((1-gamma) hi), a function of
-    # (gamma, nu, n, lo, hi) that the row's table shares between upper limits,
-    # rescaled by the difference of the two offsets (exact for hi >= x/2).
-    own = (1.0 - spec.gamma) * hi
+    # One GK15 panel and its own offset form fl((1-gamma) hi) - k(hi)
+    # (_offset_form), a function of (gamma, nu, n, lo, hi) that the row's
+    # table shares between upper limits, rescaled to the integral's offset
+    # by exp of the difference of the two exact floats (one rounding).
     panel = None if row is None else row.get((lo, hi))
     if panel is None:
-        panel = _gk15(partial(_panel_values, spec, own), lo, hi)
+        own, own_k = _offset_form(spec.gamma, spec.nu, hi)
+        panel = *_gk15(partial(_panel_values, spec, own - own_k), lo, hi), own - own_k
         if row is not None:
             row[(lo, hi)] = panel
-    scale = math.exp(own - offset)
+    scale = math.exp(panel[2] - offset)
     return panel[0] * scale, panel[1] * scale
 
 
@@ -125,37 +128,45 @@ def quadrature_memo():
         _MEMO.reset(token)
 
 
-def _quadrature_scaled(spec: IntegralSpec) -> tuple[float, float, int, float]:
-    """The offset-scaled integral, from the large-x expansion where it
+def _offset_form(gamma: float, nu: float, x: float) -> tuple[float, float]:
+    """The offset rule: fl((1-gamma)x) and the whole k in [0, fl((1-gamma)x)]
+    at most nu log x.  A value of order nu at x carries x^-nu; held as
+    exp(k - fl((1-gamma)x)) times itself it stays in range, and
+    fl((1-gamma)x) - k is exact (below 2^53)."""
+    offset, k = (1.0 - gamma) * x, nu * math.log(x)
+    return offset, float(math.floor(k if k < offset else offset)) if k > 0.0 else 0.0
+
+
+def _quadrature_scaled(spec: IntegralSpec, log=False) -> tuple[float, float, int, float]:
+    """The integral in offset form, from the large-x expansion where it
     applies and by adaptive quadrature otherwise.
 
     Returns (scaled value, scaled error, subdivisions, log offset) with
-    true integral = exp(offset) * scaled value.
+    true integral = exp(offset) * scaled value.  A scaled value below
+    DBL_MIN has lost its bits: it is unknown where the offset exceeds 1,
+    and so is its log.
     """
     rows = _MEMO.get()
-    offset = (1.0 - spec.gamma) * spec.x
-    result = _expansion_scaled(spec, offset)
+    offset, k = _offset_form(spec.gamma, spec.nu, spec.x)
+    result = _expansion_scaled(spec, offset, 0.0, k)
     if result is None:
         row = None if rows is None else rows.setdefault((spec.gamma, spec.nu, spec.n), {})
-        value, err, n = adaptive_quadrature(
-            partial(_panel_scaled, spec, offset, row),
-            0.0,
-            spec.x,
-            rel_tol=QUAD_REL_TOL,
-            max_subdivisions=QUAD_MAX_SUBDIVISIONS,
-        )
-        result = value, err, n, offset
-    if result[0] == 0.0 and offset > 1.0:  # unknown, not 0
-        raise ToleranceNotMetError(f"integral_quadrature: exp(-{offset:g}) times "
-                                   "the integral underflows", 0.0, math.inf, result[2])
+        value, err, n = adaptive_quadrature(partial(_panel_scaled, spec, offset - k, row),
+                                            0.0, spec.x, QUAD_REL_TOL, QUAD_MAX_SUBDIVISIONS)
+        # the node logs reach about k, whose rounding no panel estimate holds
+        result = value, err + k * _EPS * value, n, offset - k
+    if result[0] < _DBL_MIN and (log or result[3] > 1.0):
+        raise ToleranceNotMetError(f"{'log_' * log}integral_quadrature: exp(-{result[3]:g}) "
+                                   "times the integral underflows", 0.0, math.inf, result[2])
     return result
 
 
 def _expansion_scaled(
-    spec: IntegralSpec, offset: float, power: float = 0.0
+    spec: IntegralSpec, offset: float, power: float = 0.0, k: float = 0.0
 ) -> tuple[float, float, int, float] | None:
-    """x^power exp(-offset) times the integral from its large-x expansion,
-    as (value, error, 0 subdivisions, offset); None where GK15 must be used.
+    """x^power exp(k - offset) times the integral from its large-x
+    expansion, offset = fl((1-gamma)x), as (value, error, 0 subdivisions,
+    offset - k); None where GK15 must be used.
 
     The Hankel expansion of I_mu, mu = nu + n (DLMF 10.40.1), integrated
     term by term (Olver 1974, ch. 3) gives lead * sum of u_m, with lead
@@ -196,7 +207,7 @@ def _expansion_scaled(
             break
     else:
         return None
-    log_lead = (log_asymptotic_integral(spec, offset, power)
+    log_lead = (log_asymptotic_integral(spec, offset, power) + k
                 + _damping_residual(gamma, x, offset))
     lead = math.exp(log_lead)
     value = lead * total
@@ -205,7 +216,7 @@ def _expansion_scaled(
     err = lead * (v + rounding) + 2.0 * math.exp(log_lead + gap)
     if not err <= QUAD_REL_TOL * value:
         return None
-    return value, err, 0, offset
+    return value, err, 0, offset - k
 
 
 def _damping_residual(gamma: float, x: float, offset: float) -> float:
@@ -224,14 +235,15 @@ def _damping_residual(gamma: float, x: float, offset: float) -> float:
 def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
     """Evaluate the damped integral by adaptive Gauss-Kronrod quadrature.
 
-    The integrand is integrated in offset form
-    exp(-gamma t - (1-gamma)x) t^(-nu) L_{nu+n}(t), each value one
+    The integrand is integrated in the offset form of _offset_form,
+    exp(k - gamma t - fl((1-gamma)x)) t^(-nu) L_{nu+n}(t), each value one
     weighted Struve series, and the offset is restored afterwards.  At
     large (1-gamma)x the integrated Hankel expansion (_expansion_scaled)
     replaces the quadrature wherever its error bound meets the same
-    tolerance; such a result reports 0 subdivisions.  Raises
-    OverflowError only when the integral is beyond binary64, and
-    ToleranceNotMetError when its offset form underflows at offset > 1.
+    tolerance; such a result reports 0 subdivisions.  A value below the
+    smallest normal double may be 0.  Raises OverflowError only when the
+    integral is beyond binary64, and ToleranceNotMetError where its
+    offset form is below the smallest normal double at an offset above 1.
     """
     value, err, n, offset = _quadrature_scaled(spec)
     name = "integral_quadrature"
@@ -239,8 +251,10 @@ def integral_quadrature(spec: IntegralSpec) -> QuadratureResult:
 
 
 def log_integral_quadrature(spec: IntegralSpec) -> float:
-    """Natural log of the damped integral (for large-x tightness work)."""
-    value, _, _, offset = _quadrature_scaled(spec)
+    """Natural log of the damped integral (for large-x tightness work),
+    finite past binary64.  Raises ToleranceNotMetError where the
+    integral's offset form is below the smallest normal double."""
+    value, _, _, offset = _quadrature_scaled(spec, log=True)
     return offset + math.log(value)
 
 
@@ -250,29 +264,38 @@ def integral_closed_form(nu: float, x: float) -> float:
         x^2 / (sqrt(pi) 2^(nu+1) Gamma(nu+3/2))
             * 2F3(1, 1; 3/2, 2, nu+3/2; x^2/4)
 
-    Raises OverflowError when the product is beyond binary64."""
+    the integrated series at n = 0 (the same d_k), left through _leave as
+    the bounds are.  Raises OverflowError when it is beyond binary64."""
     if nu <= -1.5:
         raise DomainError(f"closed form requires nu > -3/2, got nu={nu}")
     if not 0.0 <= x < math.inf:
         raise DomainError(f"closed form requires finite x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
-    # The Gamma factor goes in the log of the first term, lifted towards
-    # e^-700 by the whole part j of log x^2, whose rest goes through
-    # unscale.  The 2F3 terms are positive, so the one near the peak,
-    # k(k + nu + 3/2) = x^2/4, decides an overflow before the sum.
+    return _leave(lambda k: _power_series(nu, 0.0, x, x - k).value, 0.0, nu, x,
+                  "integral_closed_form")
+
+
+def _leave(scaled, gamma: float, nu: float, x: float, name: str,
+           power: float = 0.0) -> float:
+    # x^power exp((1-gamma)x - k) scaled(k), k from _offset_form, restoring
+    # fl((1-gamma)x)'s rounding (x < 1e300).  The whole part j of log x^power
+    # joins the offset, its rest multiplies.  A body that underflows, as at
+    # corollary_bounds(300, 700), takes up to 700 of j where that makes it a
+    # normal double.  Past unscale's clamp the overflow is decided unsummed.
     log_x = math.log(x)
-    log_front = -math.log(SQRT_PI) - (nu + 1.0) * math.log(2.0) - log_gamma(nu + 1.5)
-    j = max(0, min(math.floor(2.0 * log_x), math.ceil(-700.0 - log_front)))
-    k = math.floor(0.5 * (math.hypot(nu + 1.5, x) - nu - 1.5))
-    log_peak = (2 * k * log_x - (nu + 2 * k + 2) * math.log(2.0) - math.log(k + 1.0)
-                - log_gamma(k + 1.5) - log_gamma(k + nu + 1.5))  # front times term k
-    if log_peak + j > 710.0:  # past log DBL_MAX = 709.78 by more than the logs' rounding
-        raise OverflowError("pFq series overflows binary64")
-    # the 2F3 is the integrated series at n = 0: d_k = (3/2+k)(2+k)(nu+3/2+k)/(1+k)
-    series, = _series(_power_den(nu, 0.0), [0.25 * x * x], [log_front + j], [0.0],
-                      _series_cap(x), "pFq series")
-    return unscale(series, 2.0 * log_x - j, "integral_closed_form")
+    offset, k = _offset_form(gamma, nu, x)
+    j = math.floor(power * log_x)
+    lift, shift = offset - k + j, min(j, 700)
+    value = scaled(k) if lift <= UNSCALE_MAX_OFFSET else 0.0
+    if abs(value) < _DBL_MIN and shift > 0 and lift - shift <= UNSCALE_MAX_OFFSET:
+        lifted = scaled(k + shift)
+        if abs(lifted) >= _DBL_MIN:
+            value, lift = lifted, lift - shift
+    if lift > UNSCALE_MAX_OFFSET:
+        raise OverflowError(f"{name} overflows binary64")
+    residual = _damping_residual(gamma, x, offset) if gamma and x < 1e300 else 0.0
+    return unscale(value * math.exp(power * log_x - j + residual), lift, name)
 
 
 def integral_power_series(nu: float, n: float, x: float) -> SeriesEval:

@@ -859,10 +859,10 @@ def test_bound_overflow_decided_before_summing(monkeypatch, name, call):
 
 
 def test_closed_form_overflow_decided_before_summing(monkeypatch):
-    # the 2F3 term near its peak, k = x/2 = 5e5, is about e^1e6 alone; the
-    # x/2-term series is never summed, and the error names it as before
+    # the offset x - k = 1e6 is past unscale's clamp, as for the bounds and
+    # corollary_middle; the x/2-term series is never summed
     summed = count_calls(monkeypatch, integrals_mod, "_series")
-    with pytest.raises(OverflowError, match="^pFq series overflows binary64$"):
+    with pytest.raises(OverflowError, match="^integral_closed_form overflows binary64$"):
         integral_closed_form(0.0, 1e6)
     assert summed == []
 
@@ -904,8 +904,8 @@ def test_closed_form_product_beyond_binary64_overflows(name, call):
 @pytest.mark.parametrize(
     "message,call",
     [
-        ("pFq series", lambda: integral_closed_form(0.0, 1000.0)),
-        ("pFq series", lambda: integral_closed_form(0.0, 1416.0)),
+        ("integral_closed_form", lambda: integral_closed_form(0.0, 1000.0)),
+        ("integral_closed_form", lambda: integral_closed_form(0.0, 1416.0)),
         ("corollary_middle", lambda: corollary_middle(1.0, 1416.0)),
     ],
     ids=["closed-form-1000", "closed-form-1416", "corollary-middle-1416"],
@@ -913,8 +913,7 @@ def test_closed_form_product_beyond_binary64_overflows(name, call):
 def test_closed_form_series_beyond_binary64_overflows(message, call):
     # there the 2F3 series itself passes DBL_MAX; its term cap follows
     # from x = 2 sqrt(z), so it gets that far instead of stopping at 600.
-    # corollary_middle sums it in offset form, where only the product
-    # overflows.
+    # Both sum it in offset form, where only the product overflows.
     with pytest.raises(OverflowError, match=f"^{message} overflows binary64$"):
         call()
 

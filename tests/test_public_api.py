@@ -76,7 +76,7 @@ def test_all_lists_exactly_the_public_names():
         ("integrals", "integral_power_series_scaled"),
         # no caller in the package; the quadrature evaluates _panel_values
         ("integrals", "integrand"),
-        # corollary_middle leaves offset form through bounds._leave
+        # corollary_middle leaves offset form through integrals._leave
         ("integrals", "closed_form_times_power"),
         # the oracle carries Kummer weights down; lower_bi4 sums gamma_low(2, u)
         ("specfun", "log_lower_incomplete_gamma"),

@@ -23,10 +23,12 @@ script) on:
   exponent dominates the series estimate), ``eval struve-l-scaled`` at
   (nu, x) = (10, 1e4) and (-1.4, 35), ``eval integral`` at x = 300
   (these three from a large-x expansion), at gamma = nu = n = 0,
-  x = 712 (past exp(709), still below the largest double) and at
-  gamma = n = 0, nu = 200, x = 2000 (whose exp(-x)-scaled value
-  underflows), ``dconst`` at (nu, n) = (3, 2) (whose descending ratio
-  scan stops below x = (n+2) D) and at the pair (-0.519290808148034,
+  x = 712 (past exp(709), still below the largest double), at
+  gamma = n = 0, nu = 200, x = 2000 (1.09e202, whose exp(-x)-scaled
+  value underflows; the offset form keeps exp(k), k = floor(nu log x))
+  and at nu = 500, x = 5 (below the smallest double: 0), ``dconst``
+  at (nu, n) = (3, 2) (whose descending ratio scan stops below
+  x = (n+2) D) and at the pair (-0.519290808148034,
   0.47813704333253915) (whose scan maximum is at the right edge, a
   ``DSolverError``), and ``--version``.
 
@@ -77,6 +79,8 @@ README_EXAMPLES = {
                           "--x", "712"],
     "eval-integral-nu200": ["eval", "integral", "--gamma", "0", "--nu", "200", "--n", "0",
                             "--x", "2000"],
+    "eval-integral-nu500": ["eval", "integral", "--gamma", "0", "--nu", "500", "--n", "0",
+                            "--x", "5"],
     "dconst": ["dconst", "--nu", "0", "--n", "0"],
     "dconst-3-2": ["dconst", "--nu", "3", "--n", "2"],
     "dconst-right-edge": ["dconst", "--nu", "-0.519290808148034",
