@@ -51,8 +51,9 @@ QUAD_MAX_SUBDIVISIONS = 2000
 # Term cap of the large-x expansion.
 _EXPANSION_MAX_TERMS = 100
 
-# GK15 panel tables by (gamma, nu, n) row of the current quadrature_memo()
-# block, or None outside one.
+# The current quadrature_memo() block's tables, or None outside one: by
+# (gamma, nu, n) row, its GK15 panels by (lo, hi) and its results by x; by
+# (nu, n, lo, hi), the panel nodes' series heads and sums.
 _MEMO: ContextVar[dict | None] = ContextVar("struveint_quadrature_memo", default=None)
 
 
@@ -86,13 +87,18 @@ class QuadratureResult:
     subdivisions: int
 
 
-def _panel_values(spec: IntegralSpec, offset: float, ts: list[float]) -> list[float]:
+def _panel_values(spec: IntegralSpec, offset: float, ts: list[float],
+                  shared: list | None = None) -> list[float]:
     # exp(-offset) times the integrand at each node of ts: one power series
-    # pass for those in (0, SCALED_SWITCH_X], struve_l_weighted for the rest.
+    # pass for those in (0, SCALED_SWITCH_X] (its heads and sums kept in, or
+    # taken from, shared), struve_l_weighted for the rest.
     mu, c = spec.nu + spec.n, 1.0 - spec.gamma
     small = [t for t in ts if 0.0 < t <= SCALED_SWITCH_X]
-    values = iter(_struve_series(mu, -spec.nu, small, [c * t - offset for t in small],
-                                 small, "struve_l_weighted"))
+    values = _struve_series(mu, -spec.nu, small, [c * t - offset for t in small],
+                            small, "struve_l_weighted", False, shared)
+    if len(small) == len(ts):
+        return values
+    values = iter(values)  # else some nodes are 0 or past the switch
     return [next(values) if 0.0 < t <= SCALED_SWITCH_X else 0.0 if t == 0.0
             else struve_l_weighted(mu, t, -spec.nu, c * t - offset, t).value for t in ts]
 
@@ -102,11 +108,15 @@ def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
     # One GK15 panel and its own offset form fl((1-gamma) hi) - k(hi)
     # (_offset_form), a function of (gamma, nu, n, lo, hi) that the row's
     # table shares between upper limits, rescaled to the integral's offset
-    # by exp of the difference of the two exact floats (one rounding).
+    # by exp of the difference of the two exact floats (one rounding).  The
+    # memo shares the nodes' series sums, of (nu, n, lo, hi), across gamma.
     panel = None if row is None else row.get((lo, hi))
     if panel is None:
         own, own_k = _offset_form(spec.gamma, spec.nu, hi)
-        panel = *_gk15(partial(_panel_values, spec, own - own_k), lo, hi), own - own_k
+        memo = _MEMO.get()
+        sums = None if memo is None else memo.setdefault((spec.nu, spec.n, lo, hi), [])
+        values = partial(_panel_values, spec, own - own_k, shared=sums)
+        panel = *_gk15(values, lo, hi), own - own_k
         if row is not None:
             row[(lo, hi)] = panel
     scale = math.exp(panel[2] - offset)
@@ -115,12 +125,10 @@ def _panel_scaled(spec: IntegralSpec, offset: float, row: dict | None,
 
 @contextmanager
 def quadrature_memo():
-    """Evaluate each distinct GK15 panel once inside the with-block.
-
-    The quadratures of a (gamma, nu, n) row, whatever their upper limits,
-    share one table of panels by (lo, hi); the tables are dropped when
-    the block exits, so nothing outlives it.
-    """
+    """Evaluate each distinct integral, GK15 panel and panel series once
+    inside the with-block (the tables of _MEMO): the upper limits of a
+    (gamma, nu, n) row share its panels, the dampings of a (nu, n) pair the
+    panels' series sums.  Nothing outlives the block."""
     token = _MEMO.set({})
     try:
         yield
@@ -147,14 +155,22 @@ def _quadrature_scaled(spec: IntegralSpec, log=False) -> tuple[float, float, int
     and so is its log.
     """
     rows = _MEMO.get()
-    offset, k = _offset_form(spec.gamma, spec.nu, spec.x)
-    result = _expansion_scaled(spec, offset, 0.0, k)
+    row = None if rows is None else rows.setdefault((spec.gamma, spec.nu, spec.n), {})
+    result = None if row is None else row.get(spec.x)
     if result is None:
-        row = None if rows is None else rows.setdefault((spec.gamma, spec.nu, spec.n), {})
-        value, err, n = adaptive_quadrature(partial(_panel_scaled, spec, offset - k, row),
-                                            0.0, spec.x, QUAD_REL_TOL, QUAD_MAX_SUBDIVISIONS)
-        # the node logs reach about k, whose rounding no panel estimate holds
-        result = value, err + k * _EPS * value, n, offset - k
+        offset, k = _offset_form(spec.gamma, spec.nu, spec.x)
+        result = _expansion_scaled(spec, offset, 0.0, k)
+        if result is None:
+            value, err, n = adaptive_quadrature(partial(_panel_scaled, spec, offset - k, row),
+                                                0.0, spec.x, QUAD_REL_TOL, QUAD_MAX_SUBDIVISIONS)
+            # no panel estimate holds the rounding of the node logs (about k)
+            # nor, below DBL_MIN, of the nodes (x units) and sums (none if 0)
+            err += k * _EPS * value
+            if value < _DBL_MIN:
+                err += (8.0 * spec.x + 3.0 * n + 1.0 if value else spec.x) * math.ulp(0.0)
+            result = value, err, n, offset - k
+        if row is not None:
+            row[spec.x] = result
     if result[0] < _DBL_MIN and (log or result[3] > 1.0):
         raise ToleranceNotMetError(f"{'log_' * log}integral_quadrature: exp(-{result[3]:g}) "
                                    "times the integral underflows", 0.0, math.inf, result[2])

@@ -6,8 +6,10 @@ kind L_nu in plain, exponentially scaled and weighted form (past x = 30
 from its large-x expansions where they converge).  One kernel, _series,
 sums every power series the package forms (L_mu's, the integrated
 series, the closed form's 2F3, the oracle's and bi4's gamma_low(2, u))
-for a list of arguments at once; all have positive terms.  The caller
-gives it the term cap; it raises ConvergenceError (cap run out) or
+for a list of arguments at once; all have positive terms.  It sums each
+from t_0 = 1 (_sums) and applies the first term once, at the exit
+(_scale), so L_mu's sums at a node serve every weight.  The caller gives
+it the term cap; it raises ConvergenceError (cap run out) or
 OverflowError (sum beyond binary64).  Everything here is a pure
 function of its arguments; there is no shared mutable state.
 """
@@ -15,7 +17,10 @@ function of its arguments; there is no shared mutable state.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Callable, Sequence
 
 from .exceptions import ConvergenceError, DomainError
@@ -42,6 +47,7 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _EPS = math.ulp(1.0)
 _DBL_MIN = 2.0**-1022  # the smallest normal double
+_LG_HALF = math.lgamma(1.5)  # log Gamma(3/2) < 0
 #: unscale's offset clamp: past it any nonzero scaled value overflows.
 UNSCALE_MAX_OFFSET = 1500.0
 
@@ -81,30 +87,25 @@ def _series_cap(x: float) -> int:
 
 def _series(den: Callable[[int], float], zs: list, log_firsts: list, offsets: list,
             cap: int, name: str, estimate: bool = False) -> list:
-    """exp(log_first - offset) sum t_k for each (z, log_first, offset): t_0 = 1,
-    t_{k+1} = t_k z / d_k, z >= 0 and d_k = den(k) > 0 tabulated once for all.
+    """exp(log_first - offset) sum t_k for each (z, log_first, offset): _sums, then _scale."""
+    return _scale(_sums(den, zs, cap, name), log_firsts, offsets, name,
+                  repeat(0.0) if estimate else None)
 
-    The first term's exponent is reduced by an exact multiple of ln 2
-    (Cody-Waite) to a mantissa near 1, and sum and term are divided by
-    _RESCALE whenever the sum passes it, so terms may leave binary64 on the
-    way: exp(-x) L_nu(x) at x = 1e4 starts near exp(-1e4).  Stops after two
-    consecutive terms below REL_TERM_TOL of the sum once z / d_k < 1.  With
-    estimate it returns SeriesEvals: twice the last term (the terms decay
-    geometrically past it) plus (terms + 1 + |log_first| + |log_first -
-    offset|) eps sum of rounding, and a subnormal unit for the rounding of a
-    value below DBL_MIN.  Raises ConvergenceError after cap terms and
-    OverflowError when a sum is beyond binary64, each naming the series.
-    """
-    dens, out = [], []
-    for z, log_first, offset in zip(zs, log_firsts, offsets):
-        bits = round((log_first - offset) / _LN2)
-        # Both subtractions are exact when |log_first| is small next to offset;
-        # else they round at the size of log_first's own rounding error.
-        total = term = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
-        small = 0
+
+def _sums(den: Callable[[int], float], zs: list, cap: int, name: str) -> list:
+    """Sum step: (sum, rescale exponent, last term, term count) of t_0 = 1,
+    t_{k+1} = t_k z / d_k for each z >= 0, d_k = den(k) > 0 tabulated once.
+    Sum and term are divided by _RESCALE whenever the sum passes it; stops
+    after two terms in a row below REL_TERM_TOL of the sum once z / d_k < 1,
+    and raises ConvergenceError after cap terms."""
+    dens, known, out = [], 0, []
+    for z in zs:
+        total = term = 1.0
+        bits = small = 0
         for k in range(cap - 1):
-            if k == len(dens):
+            if k == known:
                 dens.append(den(k))
+                known += 1
             q = z / dens[k]
             term *= q
             total += term
@@ -118,12 +119,34 @@ def _series(den: Callable[[int], float], zs: list, log_firsts: list, offsets: li
                     total, term, bits = total / _RESCALE, term / _RESCALE, bits + _RESCALE_BITS
         else:
             raise ConvergenceError(f"{name} did not converge within {cap} terms")
-        value = _ldexp(total, bits, name)
-        if estimate:
-            units = k + 3 + abs(log_first) + abs(log_first - offset)
-            err = math.ldexp(2.0 * term + units * _EPS * total, bits)
-            value = SeriesEval(value, err + math.ulp(0.0) if value < _DBL_MIN else err, k + 2)
-        out.append(value)
+        out.append((total, bits, term, k + 2))
+    return out
+
+
+def _scale(parts, log_firsts, offsets, name: str, extras=None) -> list:
+    """Scale step: each sum of parts (for values (sum, rescale exponent)
+    suffice) times exp(log_first - offset), reduced by an exact multiple of
+    ln 2 (Cody-Waite): one rounding.  With extras (rounding units per
+    argument), SeriesEvals: twice the last term plus (terms + 1 + |log_first|
+    + |log_first - offset| + extra) eps sum, and a subnormal unit for a value
+    below DBL_MIN.  Raises OverflowError past binary64."""
+    out = []
+    try:
+        for part, log_first, offset in zip(parts, log_firsts, offsets):
+            bits = round((log_first - offset) / _LN2)
+            # Both subtractions are exact when |log_first| is small next to
+            # offset; else they round at the size of log_first's own error.
+            scale = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
+            bits += part[1]
+            value = math.ldexp(part[0] * scale, bits)
+            if extras is not None:
+                total, _, term, count = part
+                units = count + 1 + abs(log_first) + abs(log_first - offset) + next(extras)
+                err = math.ldexp((2.0 * term + units * _EPS * total) * scale, bits)
+                value = SeriesEval(value, err + math.ulp(0.0) * (value < _DBL_MIN), count)
+            out.append(value)
+    except OverflowError:
+        raise OverflowError(f"{name} overflows binary64") from None
     return out
 
 
@@ -193,8 +216,7 @@ def struve_l_weighted(
     from _struve_asymptotic where it converges, else the power series.
 
     The weight goes into the log of the first term (or of the
-    expansion's prefactor), one exactly rounded sum, so no factor of the
-    product is formed alone:
+    expansion's prefactor), so no factor of the product is formed alone:
     exp(-gamma x) x^(-nu) L_mu(x) stays accurate where x^(-nu), exp(x)
     or L_mu(x) would leave binary64 by itself.  Pass offset = x (exact)
     for large x; the kernel reduces it exactly.  Raises OverflowError
@@ -216,22 +238,36 @@ def struve_l_weighted(
 
 
 def _struve_series(mu: float, power: float, xs: list, log_weights: list, offsets: list,
-                   name: str, estimate: bool = False) -> list:
+                   name: str, estimate: bool = False, shared: list | None = None) -> list:
     """x^power exp(log_weight - offset) L_mu(x) for each x > 0 of xs, one
     _series pass: t_0 = (x/2)^(mu+1) / (Gamma(3/2) Gamma(mu+3/2)), z = (x/2)^2
-    and d_k = (k+3/2)(k+mu+3/2) (DLMF 11.2.1)."""
+    and d_k = (k+3/2)(k+mu+3/2) (DLMF 11.2.1).  log t_0 is the head, (mu+1)
+    log(x/2) + power log x - lgGamma(3/2) - lgGamma(mu+3/2) summed exactly,
+    plus the weight, added last; the head's parts round on their own, so
+    their sizes join the estimate.  An empty list shared receives the heads,
+    sums and exponents; a filled one (same mu, power, xs) stands in for them."""
     if not xs:
         return []
-    lg_half, lg_mu = log_gamma(1.5), log_gamma(mu + 1.5)
-    log_firsts = []
-    for x, log_weight in zip(xs, log_weights):
-        h, lx = 0.5 * x, math.log(x)
-        # log(x) - ln 2 where x/2 rounds (x subnormal), else log(x/2) exactly
-        lh = math.log(h) if h + h == x else lx - _LN2
-        log_firsts.append(math.fsum(((mu + 1.0) * lh, power * lx, log_weight,
-                                     -lg_half, -lg_mu)))
-    return _series(_struve_den(mu), [0.25 * x * x for x in xs], log_firsts, offsets,
-                   _series_cap(max(xs)), name, estimate)
+    if not shared:
+        lg_mu = log_gamma(mu + 1.5)
+        heads, sizes = [], []
+        for x in xs:
+            h, lx = 0.5 * x, math.log(x)
+            # log(x) - ln 2 where x/2 rounds (x subnormal), else log(x/2) exactly
+            lh = math.log(h) if h + h == x else lx - _LN2
+            first, second = (mu + 1.0) * lh, power * lx
+            heads.append(math.fsum((first, second, -_LG_HALF, -lg_mu)))
+            if estimate:
+                sizes.append(abs(first) + abs(second) - _LG_HALF + abs(lg_mu))
+        parts = _sums(_struve_den(mu), [0.25 * x * x for x in xs], _series_cap(max(xs)), name)
+        if shared is not None:
+            shared += (array("d", heads), array("d", [p[0] for p in parts]),
+                       array("i", [p[1] for p in parts]))
+    else:
+        heads, sums, exps = shared
+        parts = zip(sums, exps)
+    return _scale(parts, map(add, heads, log_weights), offsets, name,
+                  iter(sizes) if estimate else None)
 
 
 def _struve_den(mu: float) -> Callable[[int], float]:

@@ -315,10 +315,10 @@ def test_term_cap_variable_is_ignored(value, command, tmp_path):
 # updates the literal here and names the move in CHANGES.md
 
 VERIFY_CSV = r"""check,status,points,skipped,worst_margin,witness,note
-oracle_triangle,pass,192,0,9.99995e-10,gamma=0.9 nu=0 n=0.5 x=20,rel tol 1e-09
-closed_form_agreement,pass,16,0,9.99962e-11,nu=3 x=0.5,rel tol 1e-10
+oracle_triangle,pass,192,0,9.99995e-10,gamma=0.9 nu=-0.4 n=0 x=20,rel tol 1e-09
+closed_form_agreement,pass,16,0,9.99964e-11,nu=-0.4 x=0.5,rel tol 1e-10
 ordering,pass,616,896,0.000146805,bound=bi7 gamma=0.25 nu=-0.4 n=2 x=20,relative slack 1e-12
-equality_boundary,pass,18,0,9.99959e-11,pair=bi2-integral n=2.5 x=10,rel tol 1e-10
+equality_boundary,pass,18,0,9.99962e-11,pair=bi2-integral n=2.5 x=0.5,rel tol 1e-10
 tightness_large_x,pass,8,0,0.00167367,bound=bi1 gamma=0 nu=0 x=300 ratio=0.998326,ratio <= 1 and |x(1-ratio) - c_B| <= 10|c_B|/x
 tightness_small_x,pass,6,0,8.57142e-07,nu=0 n=1 x=0.01 ratio=1,"window [1, 1+0.001]"
 asymptote_large_x,pass,4,0,0.0174448,gamma=0 nu=0 x=300,|x(1-I/A) - c_A| <= 10|c_A|/x

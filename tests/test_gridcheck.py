@@ -330,3 +330,27 @@ def test_run_verification_evaluates_each_distinct_panel_once(monkeypatch):
     # survives the run
     run_verification(config)
     assert len(evaluated) == 2 * len(panels)
+
+
+def test_run_verification_runs_each_gk15_spec_once(monkeypatch):
+    # an integral asked for again in the block comes from its row's table,
+    # so the adaptive loop runs once per distinct spec
+    loops = count_calls(monkeypatch, integrals_mod, "adaptive_quadrature")
+    run_verification(GridConfig())
+    assert len(loops) == len({panel.args[0] for panel, *_ in loops})
+
+
+def test_run_verification_sums_each_panel_series_once(monkeypatch):
+    # the default grid evaluates 1,017 GK15 panels; their nodes' series
+    # sums depend on (nu, n, lo, hi) alone, 315 distinct, and are shared
+    # across gamma
+    panels = count_calls(monkeypatch, integrals_mod, "_gk15")
+    summed, original = [], integrals_mod._struve_series
+
+    def counted(*args):
+        summed.append(not args[-1])  # the table is empty: this pass sums
+        return original(*args)
+
+    monkeypatch.setattr(integrals_mod, "_struve_series", counted)
+    run_verification(GridConfig())
+    assert (len(panels), sum(summed)) == (1017, 315)

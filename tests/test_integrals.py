@@ -597,6 +597,33 @@ def test_panel_table_returns_what_each_spec_returns_alone(row):
         assert [got[spec] for spec in specs] == alone
 
 
+@pytest.mark.parametrize("nu,n", [(1.0, 0.5), (-0.4, 2.0), (3.0, 0.0)], ids=str)
+def test_shared_node_sums_return_what_each_spec_returns_alone(nu, n):
+    # the rows of one (nu, n) share their panels' series sums across
+    # gamma, a pure cache whichever row and upper limit fill it first
+    specs = [IntegralSpec(gamma, nu, n, x) for gamma in (0.0, 0.25, 0.9, 0.999)
+             for x in (0.5, 5.0, 20.0, 5.7)]
+    alone = [_bits(integral_quadrature(spec)) for spec in specs]
+    ascending = sorted(specs, key=lambda spec: (spec.gamma, spec.x))
+    interleaved = sorted(specs, key=lambda spec: (spec.x, -spec.gamma))
+    for order in (ascending, ascending[::-1], interleaved):
+        with quadrature_memo():
+            got = {spec: _bits(integral_quadrature(spec)) for spec in order}
+        assert [got[spec] for spec in specs] == alone
+
+
+@pytest.mark.parametrize("spec", [IntegralSpec(0.5, 150.0, 2.0, 1.0),
+                                  IntegralSpec(0.0, 152.0, 2.0, 1.0)], ids=str)
+def test_subnormal_quadrature_covers_its_rounding(spec):
+    # a value below DBL_MIN carries a few subnormal units of rounding, once
+    # claimed as an estimate of 0
+    got = integral_quadrature(spec)
+    with mpmath.workdps(30):
+        want = reference_integral(spec.gamma, spec.nu, spec.n, spec.x)
+        assert 0.0 < got.value < 2.0**-1022
+        assert abs(got.value - want) <= got.abs_error_estimate
+
+
 def _panel_cases():
     # (gamma, nu, n, lo, hi): the edges first, then a seeded sample.  The
     # panel [0, 5e-324] has every node at 0, and those up to [0, 1e-322]

@@ -30,7 +30,11 @@ script) on:
   at (nu, n) = (3, 2) (whose descending ratio scan stops below
   x = (n+2) D) and at the pair (-0.519290808148034,
   0.47813704333253915) (whose scan maximum is at the right edge, a
-  ``DSolverError``), and ``--version``.
+  ``DSolverError``) and at (-0.4, 2) (whose ratio is flat to an ulp
+  near its argmax), ``eval struve-l-scaled`` at (nu, x) = (400, 600)
+  (whose first term's log sums parts near 2,000), ``eval integral`` at
+  gamma = 0.5, nu = 150, n = 2, x = 1 (a subnormal value), and
+  ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -85,6 +89,10 @@ README_EXAMPLES = {
     "dconst-3-2": ["dconst", "--nu", "3", "--n", "2"],
     "dconst-right-edge": ["dconst", "--nu", "-0.519290808148034",
                           "--n", "0.47813704333253915"],
+    "dconst-flat-argmax": ["dconst", "--nu", "-0.4", "--n", "2"],
+    "eval-struve-l-scaled-400": ["eval", "struve-l-scaled", "--nu", "400", "--x", "600"],
+    "eval-integral-subnormal": ["eval", "integral", "--gamma", "0.5", "--nu", "150",
+                                "--n", "2", "--x", "1"],
     "version": ["--version"],
 }
 
