@@ -22,7 +22,6 @@ from .integrals import (
     IntegralSpec,
     _expansion_scaled,
     _leave,
-    _power_den,
     _power_series,
     integral_power_series,
     integral_quadrature,
@@ -33,6 +32,7 @@ from .specfun import (
     _series,
     _series_cap,
     _struve_den,
+    _sums,
     log_gamma,
     struve_l_scaled,
     struve_l_weighted,
@@ -199,6 +199,8 @@ def lower_bi5(gamma: float, nu: float, x: float) -> float:
 
 
 def _check_ratio_domain(nu: float, n: float, name: str) -> None:
+    if not (math.isfinite(nu) and math.isfinite(n)):
+        raise DomainError(f"{name} requires finite nu and n, got nu={nu}, n={n}")
     if not n > -1.0:
         raise DomainError(f"{name} requires n > -1, got n={n}")
     if not nu > -0.5 * (n + 1.0):
@@ -213,26 +215,27 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
     Tends to 0 as x drops to 0 and to 1 as x grows; its supremum is the
     constant D.  With T_k > 0 the terms of L_{nu+n}(x), T_0 = 1, the Gamma
     factors cancel: the ratio is x/(n+2) P/L, L = sum T_k and
-    P = sum T_k (n+2)/(n+2k+2) <= L, two series sums with one first term
-    and offset x, so it is at most x/(n+2).  At large x the integrated
+    P = sum w_k T_k <= L, w_k = (n+2)/(n+2k+2), both summed in one kernel
+    pass over L_{nu+n}'s terms; the first term and the offset cancel in
+    P/L, and the ratio is at most x/(n+2).  At large x the integrated
     Hankel expansion gives x^nu exp(-x) times the integral in O(1).
     """
     _check_ratio_domain(nu, n, "ratio_fn")
-    if x <= 0.0:
-        raise DomainError(f"ratio_fn requires x > 0, got x={x}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"ratio_fn requires finite x > 0, got x={x}")
     return _ratio_grid(nu, n, [x])[0]
 
 
-def _ratio_grid(nu: float, n: float, xs: list) -> list:
+def _ratio_grid(nu: float, n: float, xs: list, tables: tuple | None = None) -> list:
     # ratio_fn at each x: the large-x expansion point by point, every
-    # series-route point in one _series call per sum, so P's and L's
-    # denominator tables are built once per grid
+    # series-route point in one kernel pass that sums L and P together;
+    # tables, the kernel's (d_k, w_{k+1}) lists, carries them across calls
     larges = [_expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) for x in xs]
     rest = [x for x, large in zip(xs, larges) if not large]
-    zs, cap = [0.25 * x * x for x in rest], _series_cap(max(rest, default=0.0))
-    p, lsum = (_series(den, zs, [0.0] * len(rest), rest, cap, "ratio_fn")
-               for den in (_power_den(nu + n, n), _struve_den(nu + n)))
-    series = iter([x / (n + 2.0) * (a / b) for x, a, b in zip(rest, p, lsum)])
+    parts = _sums(_struve_den(nu + n), [0.25 * x * x for x in rest],
+                  _series_cap(max(rest, default=0.0)), "ratio_fn",
+                  lambda k: (n + 2.0) / (n + 2.0 * k + 4.0), tables)
+    series = iter([x / (n + 2.0) * (part[4] / part[0]) for x, part in zip(rest, parts)])
     return [large[0] / struve_l_scaled(nu + n, x).value if large else next(series)
             for x, large in zip(xs, larges)]
 
@@ -264,13 +267,18 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
     log_lo = math.log(D_SCAN_LO)
     step = (math.log(D_SCAN_HI) - log_lo) / (D_SCAN_POINTS - 1)
     xs = [math.exp(log_lo + i * step) for i in range(D_SCAN_POINTS)]
+    tables = ([], [])
+
+    def ratio(x):
+        return _ratio_grid(nu, n, [x], tables)[0]
+
     # Downwards from the top: below x = (n+2) top no point can beat top,
     # as ratio_fn <= x/(n+2).  Ties keep the lowest index.  top only
     # grows, so the points from (n+2) ratio_fn(xs[-1]) up are all the scan
     # can reach; they are evaluated in one pass.
-    best, top = D_SCAN_POINTS - 1, ratio_fn(nu, n, xs[-1])
+    best, top = D_SCAN_POINTS - 1, ratio(xs[-1])
     lo = bisect_left(xs, (n + 2.0) * top, 0, D_SCAN_POINTS - 1)
-    vals = _ratio_grid(nu, n, xs[lo:-1])
+    vals = _ratio_grid(nu, n, xs[lo:-1], tables)
     for i in range(D_SCAN_POINTS - 2, lo - 1, -1):
         if xs[i] < (n + 2.0) * top:
             break
@@ -284,20 +292,25 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
             f"boundary supremum {top:.6f} at the {edge} edge "
             f"x={xs[best]:g} of [{D_SCAN_LO:g}, {D_SCAN_HI:g}]"
         )
-    argmax = _golden_max(
-        lambda x: ratio_fn(nu, n, x), xs[best - 1], xs[best + 1], D_XTOL
-    )
-    return DConstant(nu, n, ratio_fn(nu, n, argmax), argmax)
+    argmax = _golden_max(ratio, xs[best - 1], xs[best + 1], D_XTOL)
+    return DConstant(nu, n, ratio(argmax), argmax)
 
 
 def d_constant(nu: float, n: float) -> DConstant:
     """Supremum of ratio_fn over x > 0.
 
     A 200-point log grid, scanned from its top down to where the bound
-    ratio_fn <= x/(n+2) rules out the rest, brackets the interior maximum,
-    which a golden-section refinement then pins to D_XTOL in x.  Results
-    are memoized per (nu, n); concurrent first calls may duplicate the
-    scan but always produce identical values.
+    ratio_fn <= x/(n+2) rules out the rest, brackets the interior maximum;
+    golden section narrows that to a bracket under 2 D_XTOL wide, whose
+    midpoint is argmax_x, and value is ratio_fn there.  Each point of the
+    scan is one kernel pass, and the scan keeps one d_k and one w_k table.
+
+    argmax_x is within D_XTOL of the maximizer where the ratio changes by
+    more than its rounding over D_XTOL; where flatter, the search follows
+    rounding noise (8e-6 off at (-0.4, 2)).  value is below the supremum
+    by at most |ratio''| D_XTOL^2 / 2 plus a few ulps.  Results are
+    memoized per (nu, n); concurrent first calls may duplicate the scan
+    but always produce identical values.
     """
     _check_ratio_domain(nu, n, "d_constant")
     return _d_constant_cached(float(nu), float(n))

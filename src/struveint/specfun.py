@@ -8,7 +8,10 @@ sums every power series the package forms (L_mu's, the integrated
 series, the closed form's 2F3, the oracle's and bi4's gamma_low(2, u))
 for a list of arguments at once; all have positive terms.  It sums each
 from t_0 = 1 (_sums) and applies the first term once, at the exit
-(_scale), so L_mu's sums at a node serve every weight.  The caller gives
+(_scale), so L_mu's sums at a node serve every weight.  The sum step
+can also sum the same terms weighted, sum w_k t_k, in the same loop
+(ratio_fn's P beside L_{nu+n}), and can carry its d_k and w_k tables on
+to later calls over the same terms (the D scan).  The caller gives
 it the term cap; it raises ConvergenceError (cap run out) or
 OverflowError (sum beyond binary64).  Everything here is a pure
 function of its arguments; there is no shared mutable state.
@@ -92,23 +95,38 @@ def _series(den: Callable[[int], float], zs: list, log_firsts: list, offsets: li
                   repeat(0.0) if estimate else None)
 
 
-def _sums(den: Callable[[int], float], zs: list, cap: int, name: str) -> list:
-    """Sum step: (sum, rescale exponent, last term, term count) of t_0 = 1,
-    t_{k+1} = t_k z / d_k for each z >= 0, d_k = den(k) > 0 tabulated once.
-    Sum and term are divided by _RESCALE whenever the sum passes it; stops
-    after two terms in a row below REL_TERM_TOL of the sum once z / d_k < 1,
-    and raises ConvergenceError after cap terms."""
-    dens, known, out = [], 0, []
+def _sums(den: Callable[[int], float], zs: list, cap: int, name: str,
+          weight: Callable[[int], float] | None = None, tables: tuple | None = None) -> list:
+    """Sum step: (sum, rescale exponent, last term, term count, weighted sum)
+    of t_0 = 1, t_{k+1} = t_k z / d_k for each z >= 0, d_k = den(k) > 0
+    tabulated once.  With weight, the weighted sum is sum w_k t_k, w_0 = 1
+    and w_{k+1} = weight(k) tabulated beside d_k, summed in the same loop
+    under the same stop rule (without weight it means nothing).  tables,
+    a pair of lists (d_k, w_{k+1}) that the caller keeps, carries both
+    tables on to later calls with the same den and weight.  The sums and
+    term are divided by _RESCALE whenever the sum passes it; stops after
+    two terms in a row below REL_TERM_TOL of the sum once z / d_k < 1, and
+    raises ConvergenceError after cap terms."""
+    if tables is None:
+        dens, weights = [], []
+    else:
+        dens, weights = tables
+    known, out = len(dens), []
+    weighted = weight is not None
     for z in zs:
-        total = term = 1.0
+        total = term = wsum = 1.0
         bits = small = 0
         for k in range(cap - 1):
             if k == known:
                 dens.append(den(k))
+                if weighted:
+                    weights.append(weight(k))
                 known += 1
             q = z / dens[k]
             term *= q
             total += term
+            if weighted:
+                wsum += weights[k] * term
             if q < 1.0 and term <= REL_TERM_TOL * total:
                 small += 1
                 if small == 2:
@@ -116,10 +134,11 @@ def _sums(den: Callable[[int], float], zs: list, cap: int, name: str) -> list:
             else:
                 small = 0
                 if not total < _RESCALE:
-                    total, term, bits = total / _RESCALE, term / _RESCALE, bits + _RESCALE_BITS
+                    total, term, wsum = total / _RESCALE, term / _RESCALE, wsum / _RESCALE
+                    bits += _RESCALE_BITS
         else:
             raise ConvergenceError(f"{name} did not converge within {cap} terms")
-        out.append((total, bits, term, k + 2))
+        out.append((total, bits, term, k + 2, wsum))
     return out
 
 
@@ -140,7 +159,7 @@ def _scale(parts, log_firsts, offsets, name: str, extras=None) -> list:
             bits += part[1]
             value = math.ldexp(part[0] * scale, bits)
             if extras is not None:
-                total, _, term, count = part
+                total, _, term, count, _ = part
                 units = count + 1 + abs(log_first) + abs(log_first - offset) + next(extras)
                 err = math.ldexp((2.0 * term + units * _EPS * total) * scale, bits)
                 value = SeriesEval(value, err + math.ulp(0.0) * (value < _DBL_MIN), count)

@@ -25,6 +25,21 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
     return calls
 
 
+def record_indices(monkeypatch, module, name: str) -> list[list[int]]:
+    """Wrap the factory module.name (which returns a function of k, such
+    as a d_k) so that each function it makes records every k it is called
+    with; returns one list of k per factory call."""
+    made, factory = [], getattr(module, name)
+
+    def traced(*args):
+        ks, f = [], factory(*args)
+        made.append(ks)
+        return lambda k: ks.append(k) or f(k)
+
+    monkeypatch.setattr(module, name, traced)
+    return made
+
+
 def per_node(f):
     """A GK15 integrand from the scalar f: the list of f at each node."""
     return lambda ts: [f(t) for t in ts]

@@ -9,10 +9,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import struveint.bounds as bounds_mod
 import struveint.integrals as integrals_mod
-from conftest import count_calls, log_grid, rel_err
+from conftest import count_calls, log_grid, record_indices, rel_err
 from struveint.bounds import (
     BoundCoefficients,
     bound_report,
@@ -334,6 +335,38 @@ def test_ratio_at_large_x_matches_mpmath(x, nu, n):
         assert float(abs((ratio_fn(nu, n, x) - want) / want)) < (1e-14 if large else 5e-15)
 
 
+@pytest.mark.parametrize("log_lo,log_hi", [(-3.0, 1.8), (2.3, 2.7)],
+                         ids=["x-1e-3-to-63", "x-200-to-500"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.floats(-0.95, 3.0), nu_frac=st.floats(0.01, 1.0), u=st.floats(0.0, 1.0))
+def test_ratio_fn_matches_mpmath_on_both_routes(log_lo, log_hi, n, nu_frac, u):
+    # nu over (-(n+1)/2, 10], x log-uniform on the band: below 63 every
+    # point sums the series (one kernel pass for P and L), held to 2e-15;
+    # on [200, 500] all but those with nu + n < -1/2 take the large-x
+    # expansion, held to 1e-14
+    mp = pytest.importorskip("mpmath")
+    lo = -0.5 * (n + 1.0)
+    nu, x = lo + nu_frac * (10.0 - lo), 10.0 ** (log_lo + u * (log_hi - log_lo))
+    large = _expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) is not None
+    with mp.workdps(40):
+        want = _mp_ratio(mp, nu, n, x)
+        assert float(abs((ratio_fn(nu, n, x) - want) / want)) < (1e-14 if large else 2e-15)
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (ratio_fn, (0.0, 0.0, math.nan), "ratio_fn requires finite x > 0"),
+    (ratio_fn, (0.0, 0.0, math.inf), "ratio_fn requires finite x > 0"),
+    (ratio_fn, (0.0, math.inf, 1.0), "ratio_fn requires finite nu and n"),
+    (ratio_fn, (math.nan, 0.0, 1.0), "ratio_fn requires finite nu and n"),
+    (d_constant, (0.0, math.inf), "d_constant requires finite nu and n"),
+    (d_constant, (math.inf, 0.0), "d_constant requires finite nu and n"),
+    (d_constant, (0.0, math.nan), "d_constant requires finite nu and n"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_non_finite_ratio_inputs_name_their_function(fn, args, message):
+    with pytest.raises(DomainError, match=message):
+        fn(*args)
+
+
 def _full_scan(nu, n):
     # the full 200-point scan and max() that the descending scan replaces,
     # ratio_fn from its series alone (the large-x expansion switched off by
@@ -390,15 +423,15 @@ def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
 # D and its argmax at the 12 default pairs, the D_CHECK_PAIRS and a pair
 # whose argmax lies in the large-x expansion range, as float.hex
 D_PINS = {
-    (-0.4, 0.0): ("0x1.045237e2cda54p+0", "0x1.9e813f2df8b1cp+2"),
-    (-0.4, 0.5): ("0x1.03e7b4cd2259ep+0", "0x1.eb388d10b8b8cp+2"),
+    (-0.4, 0.0): ("0x1.045237e2cda55p+0", "0x1.9e813f2df8b1cp+2"),
+    (-0.4, 0.5): ("0x1.03e7b4cd2259dp+0", "0x1.eb388d10b8b8cp+2"),
     (-0.4, 2.0): ("0x1.00880a96bd0a4p+0", "0x1.9bccfdf2efde2p+4"),
     (0.0, 0.0): ("0x1.1bba572f8d0d5p+0", "0x1.4d150490a685ep+2"),
-    (0.0, 0.5): ("0x1.1482d2be0c26fp+0", "0x1.9e11bce37f56cp+2"),
-    (0.0, 2.0): ("0x1.0743e930ca641p+0", "0x1.7810680b0d3c9p+3"),
-    (1.0, 0.0): ("0x1.5486dd8f86111p+0", "0x1.53e68594d4529p+2"),
-    (1.0, 0.5): ("0x1.3e3c1539d6030p+0", "0x1.97bbb33d148c0p+2"),
-    (1.0, 2.0): ("0x1.1c8ec2cb9f87ap+0", "0x1.429100a5b3d8dp+3"),
+    (0.0, 0.5): ("0x1.1482d2be0c26ap+0", "0x1.9e11b9c9dc8a0p+2"),
+    (0.0, 2.0): ("0x1.0743e930ca643p+0", "0x1.7810680b0d3c9p+3"),
+    (1.0, 0.0): ("0x1.5486dd8f8610fp+0", "0x1.53e68594d4529p+2"),
+    (1.0, 0.5): ("0x1.3e3c1539d6032p+0", "0x1.97bbb33d148c0p+2"),
+    (1.0, 2.0): ("0x1.1c8ec2cb9f879p+0", "0x1.429100a5b3d8dp+3"),
     (3.0, 0.0): ("0x1.b14d9bd8f3da7p+0", "0x1.8de5acd543b3dp+2"),
     (3.0, 0.5): ("0x1.8659e0a28b4cdp+0", "0x1.c93d2d7d4263ap+2"),
     (3.0, 2.0): ("0x1.4629042b1ba73p+0", "0x1.46bda9df74156p+3"),
@@ -436,13 +469,64 @@ def test_d_constant_bits_are_pinned(nu, n):
     assert (d.value.hex(), d.argmax_x.hex()) == D_PINS[nu, n]
 
 
+def _mp_supremum(mp, nu, n, x0):
+    # (sup, argmax) of the ratio r: the root near x0 of its derivative
+    # r' = 1 + r ((nu + mu)/x - L_{mu-1}/L_mu), mu = nu + n, from
+    # I' = L_mu / x^nu and L_mu' = L_{mu-1} - (mu/x) L_mu (DLMF 11.4.25)
+    mu = mp.mpf(nu) + n
+
+    def slope(x):
+        return 1 + _mp_ratio(mp, nu, n, x) * (
+            (nu + mu) / x - mp.struvel(mu - 1, x) / mp.struvel(mu, x))
+
+    x = mp.findroot(slope, mp.mpf(x0))
+    return _mp_ratio(mp, nu, n, x), x
+
+
+@pytest.mark.parametrize("nu,n", [(-0.4, 2.0), (0.0, 0.0), (10.0, 0.0), (-0.458, 3.365)])
+def test_d_constant_matches_the_supremum(nu, n):
+    # (-0.4, 2) is flat to an ulp near its argmax; (-0.458, 3.365) takes
+    # the large-x route there
+    mp = pytest.importorskip("mpmath")
+    d = d_constant(nu, n)
+    with mp.workdps(40):
+        sup, _ = _mp_supremum(mp, nu, n, d.argmax_x)
+        assert abs(float((d.value - sup) / sup)) < 1e-15
+
+
+@pytest.mark.parametrize("nu,n", sorted(D_PINS))
+def test_d_constant_is_within_its_guarantee(nu, n):
+    # D = ratio_fn(argmax), argmax within D_XTOL of the maximizer where the
+    # ratio resolves it: D lies below the supremum by at most the ratio's
+    # drop over D_XTOL, |r''| D_XTOL^2 / 2, plus rounding (4 eps), and
+    # above it by rounding alone
+    mp = pytest.importorskip("mpmath")
+    d = d_constant(nu, n)
+    eps = 2.0**-52
+    with mp.workdps(40):
+        sup, x = _mp_supremum(mp, nu, n, d.argmax_x)
+        drop = abs(mp.diff(lambda t: _mp_ratio(mp, nu, n, t), x, 2)) * bounds_mod.D_XTOL**2 / 2
+        assert -4.0 * eps <= float((sup - d.value) / sup) <= float(drop / sup) + 4.0 * eps
+
+
+def test_d_constant_argmax_within_xtol():
+    # at (0, 0) the ratio's curvature resolves its maximizer to D_XTOL
+    mp = pytest.importorskip("mpmath")
+    d = d_constant(0.0, 0.0)
+    with mp.workdps(40):
+        _, x = _mp_supremum(mp, 0.0, 0.0, d.argmax_x)
+        assert abs(d.argmax_x - x) <= bounds_mod.D_XTOL
+
+
 def test_d_scan_sums_its_grid_in_one_pass(monkeypatch):
-    # two _series calls (P and L) per _ratio_grid call: one for the scan's
-    # grid, one per single-point ratio_fn (the top, each golden-section
-    # step and the final value), none per grid point
-    series = count_calls(monkeypatch, bounds_mod, "_series")
-    ratios = count_calls(monkeypatch, bounds_mod, "ratio_fn")
+    # one kernel pass, P and L together, per _ratio_grid call: the top,
+    # the grid, each golden-section step and the final value; the whole
+    # cold scan shares one d_k and one w_k table, so each d_k is computed
+    # once, golden steps included
+    sums = count_calls(monkeypatch, bounds_mod, "_sums")
+    grids = count_calls(monkeypatch, bounds_mod, "_ratio_grid")
     golden = count_calls(monkeypatch, bounds_mod, "_golden_max")
+    tabulated = record_indices(monkeypatch, bounds_mod, "_struve_den")
     bounds_mod._d_constant_cached.cache_clear()
     try:
         d_constant(1.0, 0.0)
@@ -450,8 +534,13 @@ def test_d_scan_sums_its_grid_in_one_pass(monkeypatch):
         bounds_mod._d_constant_cached.cache_clear()
     (_, a, b, xtol), = golden
     steps = math.ceil(math.log(xtol / (b - a)) / math.log(bounds_mod._INV_PHI))
-    assert len(ratios) == 1 + (steps + 1) + 1
-    assert len(series) == 2 * (1 + len(ratios))
+    assert len(grids) == 1 + 1 + (steps + 1) + 1
+    assert len(sums) == len(grids)
+    assert all(call[4] is not None for call in sums)  # each pass also sums P
+    tables, = {id(call[5]): call[5] for call in sums}.values()
+    ks = [k for calls in tabulated for k in calls]
+    assert ks == list(range(len(ks))) and len(ks) > 0
+    assert len(tables[0]) == len(tables[1]) == len(ks)
 
 
 def test_d_solver_reports_boundary_supremum(monkeypatch):

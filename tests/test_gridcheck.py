@@ -13,7 +13,7 @@ import pytest
 import struveint.bounds as bounds_mod
 import struveint.gridcheck as gridcheck_mod
 import struveint.integrals as integrals_mod
-from conftest import count_calls
+from conftest import count_calls, record_indices
 from struveint.bounds import BoundCoefficients, coefficients
 from struveint.exceptions import DomainError
 from struveint.gridcheck import (
@@ -196,14 +196,18 @@ def test_struve_monotonicity_check():
 
 
 def test_d_properties_sums_each_dense_scan_in_one_pass(monkeypatch):
-    # with D memoized, each pair's 400-point scan is one _ratio_grid call:
-    # two _series calls (P and L), none per point
+    # with D memoized, each pair's 400-point scan is one _ratio_grid call
+    # and one kernel pass that sums P and L together, each d_k computed once
     for nu, n in D_CHECK_PAIRS:
         bounds_mod.d_constant(nu, n)
-    series = count_calls(monkeypatch, bounds_mod, "_series")
+    grids = count_calls(monkeypatch, bounds_mod, "_ratio_grid")
+    sums = count_calls(monkeypatch, bounds_mod, "_sums")
+    tabulated = record_indices(monkeypatch, bounds_mod, "_struve_den")
     result = check_d_properties(GridConfig())
     assert result.passed
-    assert len(series) == 2 * len(D_CHECK_PAIRS)
+    assert len(grids) == len(sums) == len(tabulated) == len(D_CHECK_PAIRS)
+    assert all(call[4] is not None for call in sums)
+    assert all(ks == list(range(len(ks))) for ks in tabulated)
 
 
 def test_corrupted_coefficients_detected(monkeypatch):

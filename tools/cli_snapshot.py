@@ -30,8 +30,9 @@ script) on:
   at (nu, n) = (3, 2) (whose descending ratio scan stops below
   x = (n+2) D) and at the pair (-0.519290808148034,
   0.47813704333253915) (whose scan maximum is at the right edge, a
-  ``DSolverError``) and at (-0.4, 2) (whose ratio is flat to an ulp
-  near its argmax), ``eval struve-l-scaled`` at (nu, x) = (400, 600)
+  ``DSolverError``), at (-0.4, 2) (whose ratio is flat to an ulp
+  near its argmax), at (10, 0) and at (-0.458, 3.365) (whose argmax
+  takes the large-x route), ``eval struve-l-scaled`` at (nu, x) = (400, 600)
   (whose first term's log sums parts near 2,000), ``eval integral`` at
   gamma = 0.5, nu = 150, n = 2, x = 1 (a subnormal value), and
   ``--version``.
@@ -90,6 +91,8 @@ README_EXAMPLES = {
     "dconst-right-edge": ["dconst", "--nu", "-0.519290808148034",
                           "--n", "0.47813704333253915"],
     "dconst-flat-argmax": ["dconst", "--nu", "-0.4", "--n", "2"],
+    "dconst-10-0": ["dconst", "--nu", "10", "--n", "0"],
+    "dconst-large-x-argmax": ["dconst", "--nu", "-0.458", "--n", "3.365"],
     "eval-struve-l-scaled-400": ["eval", "struve-l-scaled", "--nu", "400", "--x", "600"],
     "eval-integral-subnormal": ["eval", "integral", "--gamma", "0.5", "--nu", "150",
                                 "--n", "2", "--x", "1"],
