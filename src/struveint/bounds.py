@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .exceptions import BoundNotApplicableError, DomainError, DSolverError
@@ -49,34 +49,23 @@ D_XTOL = 1e-6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
-@dataclass(frozen=True)
-class BoundCoefficients:
+class BoundCoefficients(namedtuple("BoundCoefficients", "a b c")):
     """The coefficient triple multiplying the polynomial correction terms."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DConstant:
+class DConstant(namedtuple("DConstant", "nu n value argmax_x")):
     """sup over x > 0 of  x^nu / L_{nu+n}(x) * integral(L_{nu+n}(t)/t^nu)."""
 
-    nu: float
-    n: float
-    value: float
-    argmax_x: float
+    __slots__ = ()
 
 
-@dataclass
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "spec integral applicable_bounds skipped")):
     """Every applicable bound at one parameter point, next to the
     integral, and skip reasons for the inapplicable ones."""
 
-    spec: IntegralSpec
-    integral: float
-    applicable_bounds: dict[str, float] = field(default_factory=dict)
-    skipped: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
 
 def coefficients(nu: float, n: float) -> BoundCoefficients:
@@ -385,7 +374,7 @@ def bound_report(spec: IntegralSpec) -> BoundReport:
     scan for D finds no interior maximum (DSolverError), are recorded in
     .skipped with the reason rather than failing the whole report.
     """
-    report = BoundReport(spec=spec, integral=integral_quadrature(spec).value)
+    report = BoundReport(spec, integral_quadrature(spec).value, {}, {})
     gamma, nu, n, x = spec.gamma, spec.nu, spec.n, spec.x
 
     def attempt(name, fn):

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from . import bounds as bounds_mod
 from .exceptions import DomainError
@@ -68,32 +68,52 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
-class GridConfig:
+# GridConfig's default grids, copied into each config that leaves one out.
+_DEFAULT_GRIDS = ((-0.4, 0.0, 1.0, 3.0), (0.0, 0.5, 2.0), (0.0, 0.25, 0.5, 0.9),
+                  (0.5, 1.0, 5.0, 20.0))
+# Marks a GridConfig argument left out; an explicit None is rejected.
+_OMITTED = object()
+
+
+class GridConfig(namedtuple("GridConfig",
+                            "nu_values n_values gamma_values x_values tolerances")):
     """Parameter lists for the product-grid checks plus tolerance
-    overrides for all of them."""
+    overrides for all of them.
 
-    nu_values: list[float] = field(default_factory=lambda: [-0.4, 0.0, 1.0, 3.0])
-    n_values: list[float] = field(default_factory=lambda: [0.0, 0.5, 2.0])
-    gamma_values: list[float] = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.9])
-    x_values: list[float] = field(default_factory=lambda: [0.5, 1.0, 5.0, 20.0])
-    tolerances: dict[str, float] = field(default_factory=dict)
+    Every construction path (the call, from_json, _make, _replace,
+    pickle, copy) runs the checks; tolerances holds every tolerance,
+    the overrides merged into DEFAULT_TOLERANCES."""
 
-    def __post_init__(self):
-        for name in ("nu_values", "n_values", "gamma_values", "x_values"):
-            values = getattr(self, name)
-            if not (isinstance(values, list) and all(map(_is_real, values))):
+    __slots__ = ()
+
+    def __new__(cls, nu_values=_OMITTED, n_values=_OMITTED, gamma_values=_OMITTED,
+                x_values=_OMITTED, tolerances=_OMITTED):
+        grids = []
+        for name, values, default in zip(
+                cls._fields, (nu_values, n_values, gamma_values, x_values), _DEFAULT_GRIDS):
+            if values is _OMITTED:
+                values = list(default)
+            elif not (isinstance(values, list) and all(map(_is_real, values))):
                 raise DomainError(f"{name} must be a list of real numbers")
-        if not isinstance(self.tolerances, dict):
+            elif not values:
+                raise DomainError(f"{name} must not be empty")
+            grids.append(values)
+        if tolerances is _OMITTED:
+            tolerances = {}
+        if not isinstance(tolerances, dict):
             raise DomainError("tolerances must map names to real numbers")
         merged = dict(DEFAULT_TOLERANCES)
-        for key, value in self.tolerances.items():
+        for key, value in tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise DomainError(f"unknown tolerance {key!r}")
             if not (_is_real(value) and math.isfinite(value)):
                 raise DomainError(f"tolerance {key!r} must be a finite real number")
             merged[key] = float(value)
-        self.tolerances = merged
+        return tuple.__new__(cls, (*grids, merged))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def from_json(cls, path: str) -> "GridConfig":
@@ -106,8 +126,7 @@ class GridConfig:
             raise DomainError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise DomainError(f"config {path} must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls._fields)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
@@ -116,15 +135,9 @@ class GridConfig:
         return self.tolerances[name]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    points: int
-    skipped: int
-    worst_margin: float
-    witness: str
-    note: str = ""
+CheckResult = namedtuple("CheckResult",
+                         "name passed points skipped worst_margin witness note",
+                         defaults=("",))
 
 
 class _Worst:

@@ -17,9 +17,9 @@ in the one offset form of _offset_form and left through _leave or unscale.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import partial
 
 from .exceptions import DomainError, ToleranceNotMetError
@@ -57,34 +57,32 @@ _EXPANSION_MAX_TERMS = 100
 _MEMO: ContextVar[dict | None] = ContextVar("struveint_quadrature_memo", default=None)
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
+class IntegralSpec(namedtuple("IntegralSpec", "gamma nu n x")):
     """One damped Struve integral: damping gamma, denominator exponent nu,
-    order shift n, and upper limit x."""
+    order shift n, and upper limit x.
 
-    gamma: float
-    nu: float
-    n: float
-    x: float
+    Every construction path (the call, _make, _replace, pickle, copy)
+    runs the domain checks."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise DomainError(f"damping must satisfy 0 <= gamma < 1, got {self.gamma}")
-        if not self.n > -1.0:
-            raise DomainError(f"order shift must satisfy n > -1, got {self.n}")
-        if not -1.5 < self.nu + self.n < math.inf:
-            raise DomainError(
-                f"nu + n must exceed -3/2, got nu={self.nu}, n={self.n}"
-            )
-        if not 0.0 < self.x < math.inf:
-            raise DomainError(f"upper limit must be finite and > 0, got x={self.x}")
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, nu: float, n: float, x: float):
+        if not 0.0 <= gamma < 1.0:
+            raise DomainError(f"damping must satisfy 0 <= gamma < 1, got {gamma}")
+        if not n > -1.0:
+            raise DomainError(f"order shift must satisfy n > -1, got {n}")
+        if not -1.5 < nu + n < math.inf:
+            raise DomainError(f"nu + n must exceed -3/2, got nu={nu}, n={n}")
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"upper limit must be finite and > 0, got x={x}")
+        return tuple.__new__(cls, (gamma, nu, n, x))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    subdivisions: int
+QuadratureResult = namedtuple("QuadratureResult", "value abs_error_estimate subdivisions")
 
 
 def _panel_values(spec: IntegralSpec, offset: float, ts: list[float],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import add
 from typing import Callable, Sequence
@@ -55,13 +55,10 @@ _LG_HALF = math.lgamma(1.5)  # log Gamma(3/2) < 0
 UNSCALE_MAX_OFFSET = 1500.0
 
 
-@dataclass(frozen=True)
-class SeriesEval:
+class SeriesEval(namedtuple("SeriesEval", "value abs_error_estimate terms_used")):
     """A summed series value with its error estimate and term count."""
 
-    value: float
-    abs_error_estimate: float
-    terms_used: int
+    __slots__ = ()
 
 
 def gamma_fn(x: float) -> float:

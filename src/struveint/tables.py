@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import corollary_bounds, corollary_middle, d_constant
 from .exceptions import DomainError
@@ -30,12 +30,7 @@ TABLE_META_TOLERANCES = {
 }
 
 
-@dataclass
-class TableArtifact:
-    kind: str
-    rows: list[list[float]]
-    row_labels: list[float]
-    col_labels: list[str]
+TableArtifact = namedtuple("TableArtifact", "kind rows row_labels col_labels")
 
 
 def relative_error_tables() -> tuple[TableArtifact, TableArtifact]:

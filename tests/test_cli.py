@@ -233,6 +233,17 @@ def test_verify_malformed_config_values(runner, tmp_path, text, message):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("name", ["nu_values", "n_values", "gamma_values", "x_values"])
+def test_verify_rejects_an_empty_grid(runner, tmp_path, name):
+    # an empty list used to certify four checks over 0 points, exit 0
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({name: []}))
+    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {name} must not be empty\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "x_values",
     [[800.0]],

@@ -5,8 +5,10 @@ grids exercise the check logic itself, including skip accounting and
 failure detection on deliberately corrupted bounds.
 """
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -112,6 +114,54 @@ def test_config_from_json_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"nu_values": [0.0], "grid_type": "fine"}))
     with pytest.raises(DomainError):
         GridConfig.from_json(str(path))
+
+
+@pytest.mark.parametrize("name", ["nu_values", "n_values", "gamma_values", "x_values"])
+def test_config_rejects_an_empty_grid(name, tmp_path):
+    # a check over no points would pass with margin inf
+    with pytest.raises(DomainError, match=f"{name} must not be empty"):
+        GridConfig(**{name: []})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({name: []}))
+    with pytest.raises(DomainError, match=f"{name} must not be empty"):
+        GridConfig.from_json(str(path))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"nu_values": None}, {"nu_values": (0.0,)}, {"x_values": None}, {"tolerances": None}],
+    ids=["none", "tuple", "x-none", "tolerances-none"],
+)
+def test_config_rejects_what_is_not_a_list_or_dict(raw, tmp_path):
+    # an explicit None is not a left-out argument: it never gives the default
+    with pytest.raises(DomainError, match="must be a list|must map names"):
+        GridConfig(**raw)
+    if None in raw.values():
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DomainError, match="must be a list|must map names"):
+            GridConfig.from_json(str(path))
+
+
+def test_config_validates_on_every_construction_path():
+    config = GridConfig(x_values=[1.0, 2.0], tolerances={"oracle_rel": 1e-8})
+    with pytest.raises(DomainError, match="x_values must not be empty"):
+        config._replace(x_values=[])
+    with pytest.raises(DomainError, match="unknown tolerance"):
+        config._replace(tolerances={"bogus": 1.0})
+    with pytest.raises(DomainError, match="gamma_values must be a list"):
+        GridConfig._make(([0.0], [0.0], None, [1.0], {}))
+    assert GridConfig._make(config) == config
+    for other in (pickle.loads(pickle.dumps(config)), copy.copy(config),
+                  copy.deepcopy(config)):
+        assert other == config and type(other) is GridConfig
+        assert other.tol("oracle_rel") == 1e-8
+
+
+def test_config_defaults_are_fresh_lists():
+    first = GridConfig()
+    first.nu_values.append(9.0)
+    assert GridConfig().nu_values == [-0.4, 0.0, 1.0, 3.0]
 
 
 def test_oracle_triangle_small_grid():

@@ -5,7 +5,9 @@ exercised against each other and against values frozen from independent
 high-precision computation.
 """
 
+import copy
 import math
+import pickle
 import random
 import sys
 from functools import partial
@@ -79,6 +81,28 @@ def test_spec_rejects_bad_x():
 
 def test_spec_gamma_zero_permitted():
     assert IntegralSpec(0.0, 0.0, 0.0, 1.0).gamma == 0.0
+
+
+def test_spec_validates_on_every_construction_path():
+    spec = IntegralSpec(0.5, 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="damping"):
+        spec._replace(gamma=1.5)
+    with pytest.raises(DomainError, match="order shift"):
+        IntegralSpec._make((0.5, 0.0, -2.0, 1.0))
+    assert spec._replace(x=2.0) == IntegralSpec(0.5, 0.0, 0.0, 2.0)
+    assert IntegralSpec._make(spec) == spec
+    for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert other == spec and type(other) is IntegralSpec
+
+
+def test_spec_is_a_named_tuple_of_its_values():
+    # equal and hashing equal to the plain tuple, as sets of specs rely on
+    spec = IntegralSpec(gamma=0.5, nu=1.0, n=0.0, x=2.0)
+    assert spec == (0.5, 1.0, 0.0, 2.0)
+    assert hash(spec) == hash((0.5, 1.0, 0.0, 2.0))
+    assert repr(spec) == "IntegralSpec(gamma=0.5, nu=1.0, n=0.0, x=2.0)"
+    with pytest.raises(AttributeError):
+        spec.x = 3.0
 
 
 # ---------------------------------------------------------------------------

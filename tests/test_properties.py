@@ -13,10 +13,15 @@ call has one of three outcomes:
   value below it);
 - one of the exceptions the entry point documents.
 
-Estimate honesty is not asserted here (tests/test_integrals.py covers
-it at large order).
+Estimate honesty is not asserted for the integrals here
+(tests/test_integrals.py covers it at large order).  It is for
+struve_l_scaled, through the recurrence of DLMF 11.4(iv) over nu in
+(-1/2, 30] and x log-uniform in [1e-3, 700]: its residual must lie
+within the three values' weighted error estimates plus 16 eps times the
+sum of the four terms' magnitudes.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -30,11 +35,13 @@ from struveint.integrals import (
     integral_quadrature,
     log_integral_quadrature,
 )
+from struveint.specfun import struve_l_scaled
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.reference import integral as reference_integral  # noqa: E402
 
 DBL_MIN = 2.0**-1022
+EPS = math.ulp(1.0)
 REL_TOL = 1e-9
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100,
@@ -92,3 +99,19 @@ def test_quadrature_over_the_domain(gamma, nu, n, x):
 @given(nu=nus, x=xs)
 def test_closed_form_over_the_domain(nu, x):
     _judge(lambda: integral_closed_form(nu, x), _reference(0.0, nu, 0.0, x))
+
+
+# -1/2 + eps is the least nu > -1/2 whose nu - 1 rounds above -3/2.
+@settings(SETTINGS, max_examples=200)
+@given(nu=st.floats(-0.5 + EPS, 30.0),
+       x=st.floats(-3.0, math.log10(700.0)).map(lambda u: min(10.0**u, 700.0)))
+def test_struve_recurrence_within_the_estimates(nu, x):
+    # L_{nu-1} - L_{nu+1} = (2 nu/x) L_nu + (x/2)^nu / (sqrt(pi) Gamma(nu+3/2)),
+    # every term times exp(-x)
+    below, above, at = (struve_l_scaled(mu, x) for mu in (nu - 1.0, nu + 1.0, nu))
+    w = 2.0 * nu / x
+    head = (0.5 * x)**nu * math.exp(-x) / (math.sqrt(math.pi) * math.gamma(nu + 1.5))
+    terms = (below.value, -above.value, -w * at.value, -head)
+    allowance = (below.abs_error_estimate + above.abs_error_estimate
+                 + abs(w) * at.abs_error_estimate + 16.0 * EPS * sum(map(abs, terms)))
+    assert abs(math.fsum(terms)) <= allowance
