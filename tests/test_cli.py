@@ -1,17 +1,63 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 from struveint.bounds import _d_constant_cached
-from struveint.cli import cli
+from struveint.cli import main
+
+
+class _Tee(io.StringIO):
+    """Captures one stream and copies it to the interleaved output."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Calls ``main(args)`` in-process with stdout and stderr captured and
+    the environment changed by ``env`` (a value of None unsets a variable)."""
+
+    def __init__(self, env=None):
+        self.env = env or {}
+
+    def invoke(self, args):
+        output = io.StringIO()
+        stdout, stderr = _Tee(output), _Tee(output)
+        exit_code, exception = 0, None
+        with mock.patch.dict(os.environ), redirect_stdout(stdout), redirect_stderr(stderr):
+            for name, value in self.env.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+        return SimpleNamespace(exit_code=exit_code, exception=exception,
+                               stdout=stdout.getvalue(), stderr=stderr.getvalue(),
+                               output=output.getvalue())
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 # ---------------------------------------------------------------------------
@@ -19,21 +65,21 @@ def runner():
 
 
 def test_eval_struve_l(runner):
-    result = runner.invoke(cli, ["eval", "struve-l", "--nu", "0", "--x", "1"])
+    result = runner.invoke(["eval", "struve-l", "--nu", "0", "--x", "1"])
     assert result.exit_code == 0
     assert "value = 0.7102431859" in result.output
     assert "abs_error_estimate" in result.output
 
 
 def test_eval_struve_l_at_zero(runner):
-    result = runner.invoke(cli, ["eval", "struve-l", "--nu", "0", "--x", "0"])
+    result = runner.invoke(["eval", "struve-l", "--nu", "0", "--x", "0"])
     assert result.exit_code == 0
     assert "value = 0" in result.output
 
 
 def test_eval_struve_l_scaled(runner):
     result = runner.invoke(
-        cli, ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"]
+        ["eval", "struve-l-scaled", "--nu", "0", "--x", "400"]
     )
     assert result.exit_code == 0
     assert "value = 0.01995335628" in result.output
@@ -41,7 +87,6 @@ def test_eval_struve_l_scaled(runner):
 
 def test_eval_integral_undamped(runner):
     result = runner.invoke(
-        cli,
         ["eval", "integral", "--gamma", "0", "--nu", "0", "--n", "0", "--x", "1"],
     )
     assert result.exit_code == 0
@@ -50,7 +95,6 @@ def test_eval_integral_undamped(runner):
 
 def test_eval_integral_json(runner):
     result = runner.invoke(
-        cli,
         ["eval", "integral", "--gamma", "0.5", "--nu", "0", "--n", "0",
          "--x", "1", "--format", "json"],
     )
@@ -62,7 +106,6 @@ def test_eval_integral_json(runner):
 
 def test_eval_integral_csv(runner):
     result = runner.invoke(
-        cli,
         ["eval", "integral", "--nu", "0", "--x", "1", "--format", "csv"],
     )
     assert result.exit_code == 0
@@ -72,20 +115,20 @@ def test_eval_integral_csv(runner):
 
 
 def test_eval_domain_error_exit_code(runner):
-    result = runner.invoke(cli, ["eval", "struve-l", "--nu", "-2", "--x", "1"])
+    result = runner.invoke(["eval", "struve-l", "--nu", "-2", "--x", "1"])
     assert result.exit_code == 1
     assert "must exceed -3/2" in result.output
 
 
 def test_eval_rejects_stray_options(runner):
     result = runner.invoke(
-        cli, ["eval", "struve-l", "--nu", "0", "--x", "1", "--gamma", "0.5"]
+        ["eval", "struve-l", "--nu", "0", "--x", "1", "--gamma", "0.5"]
     )
     assert result.exit_code == 2
 
 
 def test_eval_unknown_function(runner):
-    result = runner.invoke(cli, ["eval", "not-a-function", "--nu", "0", "--x", "1"])
+    result = runner.invoke(["eval", "not-a-function", "--nu", "0", "--x", "1"])
     assert result.exit_code == 2
 
 
@@ -94,7 +137,7 @@ def test_eval_unknown_function(runner):
 
 
 def test_dconst_reference_value(runner):
-    result = runner.invoke(cli, ["dconst", "--nu", "0", "--n", "0"])
+    result = runner.invoke(["dconst", "--nu", "0", "--n", "0"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert abs(payload["value"] - 1.109) <= 1e-3
@@ -104,13 +147,13 @@ def test_dconst_reference_value(runner):
 
 def test_dconst_other_orders(runner):
     for nu, want in (("3", 1.693), ("1", 1.331)):
-        result = runner.invoke(cli, ["dconst", "--nu", nu, "--n", "0"])
+        result = runner.invoke(["dconst", "--nu", nu, "--n", "0"])
         payload = json.loads(result.output)
         assert abs(payload["value"] - want) <= 1e-3
 
 
 def test_dconst_domain_error(runner):
-    result = runner.invoke(cli, ["dconst", "--nu", "-0.5", "--n", "0"])
+    result = runner.invoke(["dconst", "--nu", "-0.5", "--n", "0"])
     assert result.exit_code == 1
     assert "nu > -(n+1)/2" in result.output
 
@@ -121,7 +164,7 @@ def test_dconst_domain_error(runner):
 
 def test_table_csv_to_file(runner, tmp_path):
     out = tmp_path / "t1.csv"
-    result = runner.invoke(cli, ["table", "table1", "--out", str(out)])
+    result = runner.invoke(["table", "table1", "--out", str(out)])
     assert result.exit_code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "nu\\x,0.5,5,10,25,50,100,250"
@@ -129,7 +172,7 @@ def test_table_csv_to_file(runner, tmp_path):
 
 
 def test_table_json(runner):
-    result = runner.invoke(cli, ["table", "table2", "--format", "json"])
+    result = runner.invoke(["table", "table2", "--format", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["kind"] == "table2"
@@ -137,17 +180,17 @@ def test_table_json(runner):
 
 
 def test_table_dconstants(runner):
-    result = runner.invoke(cli, ["table", "dconstants"])
+    result = runner.invoke(["table", "dconstants"])
     assert result.exit_code == 0
     assert result.output.startswith("nu,D,argmax_x,upper_bound\n")
 
 
 def test_table_byte_identical_across_runs(runner):
-    first = runner.invoke(cli, ["table", "table1"])
-    second = runner.invoke(cli, ["table", "table1"])
+    first = runner.invoke(["table", "table1"])
+    second = runner.invoke(["table", "table1"])
     assert first.output == second.output
-    jf = runner.invoke(cli, ["table", "dconstants", "--format", "json"])
-    js = runner.invoke(cli, ["table", "dconstants", "--format", "json"])
+    jf = runner.invoke(["table", "dconstants", "--format", "json"])
+    js = runner.invoke(["table", "dconstants", "--format", "json"])
     assert jf.output == js.output
 
 
@@ -167,7 +210,7 @@ def test_verify_reports_and_exit_code(runner, tmp_path):
             }
         )
     )
-    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    result = runner.invoke(["verify", "--config", str(config)])
     # every check holds, so the run exits 0
     assert result.exit_code == 0
     lines = result.output.strip().split("\n")
@@ -191,7 +234,7 @@ def test_verify_json_format(runner, tmp_path):
             }
         )
     )
-    result = runner.invoke(cli, ["verify", "--config", str(config), "--format", "json"])
+    result = runner.invoke(["verify", "--config", str(config), "--format", "json"])
     start = result.output.index("{")
     payload = json.loads(result.output[start : result.output.rindex("}") + 1])
     checks = {c["name"]: c for c in payload["checks"]}
@@ -203,7 +246,7 @@ def test_verify_json_format(runner, tmp_path):
 def test_verify_bad_config(runner, tmp_path):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"nu_values": [0.0], "mystery": 1}))
-    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    result = runner.invoke(["verify", "--config", str(config)])
     assert result.exit_code == 1
     assert "unknown config keys" in result.output
 
@@ -226,7 +269,7 @@ def test_verify_bad_config(runner, tmp_path):
 def test_verify_malformed_config_values(runner, tmp_path, text, message):
     config = tmp_path / "grid.json"
     config.write_text(text)
-    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    result = runner.invoke(["verify", "--config", str(config)])
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ")
     assert message in result.stderr
@@ -238,7 +281,7 @@ def test_verify_rejects_an_empty_grid(runner, tmp_path, name):
     # an empty list used to certify four checks over 0 points, exit 0
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({name: []}))
-    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    result = runner.invoke(["verify", "--config", str(config)])
     assert result.exit_code == 1
     assert result.stderr == f"error: {name} must not be empty\n"
     assert result.stdout == ""
@@ -252,7 +295,7 @@ def test_verify_rejects_an_empty_grid(runner, tmp_path, name):
 def test_verify_evaluation_error_exits_cleanly(runner, tmp_path, x_values):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"x_values": x_values}))
-    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    result = runner.invoke(["verify", "--config", str(config)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
@@ -264,7 +307,7 @@ def test_verify_reports_where_the_d_scan_fails(runner, tmp_path):
     # there instead of ending the run with an error
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"n_values": [0.0, 30.0]}))
-    result = runner.invoke(cli, ["verify", "--config", str(config)])
+    result = runner.invoke(["verify", "--config", str(config)])
     assert result.exit_code == 0
     assert result.stderr == ""
     rows = {line.split(",")[0]: line.split(",") for line in result.stdout.splitlines()}
@@ -276,7 +319,7 @@ def test_verify_skips_zero_references(runner, tmp_path):
     # underflow to exactly 0; no relative error is taken against them.
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"x_values": [1e-170, 1e-160]}))
-    result = runner.invoke(cli, ["verify", "--config", str(config), "--format", "json"])
+    result = runner.invoke(["verify", "--config", str(config), "--format", "json"])
     assert not result.stderr.startswith("error: ")
     checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
     got = {name: (checks[name]["points"], checks[name]["skipped"])
@@ -314,11 +357,89 @@ def test_term_cap_variable_is_ignored(value, command, tmp_path):
     # d_constant is memoized per (nu, n); the run with the variable set
     # must do its own D scans
     _d_constant_cached.cache_clear()
-    with_variable = CliRunner(env={"STRUVE_MAX_TERMS": value}).invoke(cli, args)
-    without = CliRunner(env={"STRUVE_MAX_TERMS": None}).invoke(cli, args)
+    with_variable = Runner(env={"STRUVE_MAX_TERMS": value}).invoke(args)
+    without = Runner(env={"STRUVE_MAX_TERMS": None}).invoke(args)
     assert not with_variable.stderr.startswith("error: ")
     assert with_variable.stdout == without.stdout
     assert with_variable.exit_code == without.exit_code
+
+
+# ---------------------------------------------------------------------------
+# arguments, closed pipes and files that cannot be opened
+
+
+def _child(args, env=(), **kwargs):
+    """Runs the CLI in a fresh process, with ``env`` added to the environment."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "struveint.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(src), **dict(env)},
+        stderr=subprocess.PIPE, text=True, check=False, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("spelled,plain", [("-1e-3", "-0.001"), ("-2E-1", "-0.2")])
+def test_option_value_may_start_with_a_dash(runner, spelled, plain):
+    # argparse alone reads "-1e-3" as an option and rejects --nu
+    got = runner.invoke(["eval", "struve-l", "--nu", spelled, "--x", "1"])
+    want = runner.invoke(["eval", "struve-l", "--nu", plain, "--x", "1"])
+    assert (got.exit_code, got.stdout) == (0, want.stdout)
+    assert f"\nnu = {plain}\n" in got.stdout
+
+
+@pytest.mark.parametrize("nu", ["-inf", "-nan"])
+def test_eval_non_finite_order_is_an_error(runner, nu):
+    result = runner.invoke(["eval", "struve-l", "--nu", nu, "--x", "1"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: modified Struve order must exceed -3/2")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "struve-l", "--nu", "0", "--x", "1", "--for", "json"],
+        ["verify", "--config", "{tmp}/missing.json"],
+        ["verify", "--config", "{tmp}"],
+        ["table", "table1", "--out", "{tmp}"],
+        [],
+    ],
+    ids=["abbreviated-option", "missing-config", "config-is-a-directory",
+         "out-is-a-directory", "no-subcommand"],
+)
+def test_usage_errors_exit_2(runner, tmp_path, args):
+    result = runner.invoke([arg.format(tmp=tmp_path) for arg in args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # `struveint ... | true`: the reader is gone before the child writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(["eval", "struve-l", "--nu", "0", "--x", "1"],
+                      env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("command", ["eval", "table", "verify"])
+def test_out_that_cannot_be_opened_is_an_error(command, tmp_path):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"nu_values": [0.0], "n_values": [0.0],
+                                  "gamma_values": [0.5], "x_values": [1.0]}))
+    args = {"eval": ["eval", "struve-l", "--nu", "0", "--x", "1"],
+            "table": ["table", "table1"],
+            "verify": ["verify", "--config", str(config)]}[command]
+    proc = _child([*args, "--out", str(tmp_path / "missing" / "out.csv")],
+                  stdout=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -374,5 +495,5 @@ DCONSTANTS_CSV = r"""nu,D,argmax_x,upper_bound
     ids=["verify", "table1", "table2", "dconstants"],
 )
 def test_default_csv_output_is_pinned(runner, args, want):
-    result = runner.invoke(cli, args)
+    result = runner.invoke(args)
     assert (result.exit_code, result.stdout) == (0, want)

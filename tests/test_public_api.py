@@ -126,3 +126,21 @@ def test_import_leaves_dataclasses_unloaded():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "False\n"
+
+
+def test_cli_runs_on_the_standard_library():
+    # click was the one runtime dependency; the CLI runs with it blocked
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    blocked = ("import sys; sys.modules['click'] = None\n"
+               "from struveint.cli import main\n"
+               "main(['--version'])")
+    proc = subprocess.run([sys.executable, "-c", blocked], env=env,
+                          capture_output=True, text=True, check=False, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "struveint, version 0.1.0\n", "")
+    out = subprocess.run(
+        [sys.executable, "-c", "import struveint.cli, sys; print('click' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "False\n"

@@ -34,7 +34,10 @@ script) on:
   near its argmax), at (10, 0) and at (-0.458, 3.365) (whose argmax
   takes the large-x route), ``eval struve-l-scaled`` at (nu, x) = (400, 600)
   (whose first term's log sums parts near 2,000), ``eval integral`` at
-  gamma = 0.5, nu = 150, n = 2, x = 1 (a subnormal value), and
+  gamma = 0.5, nu = 150, n = 2, x = 1 (a subnormal value), ``eval
+  struve-l --nu -1e-3 --x 1`` and ``eval integral --gamma 0.5 --nu -2E-1
+  --n 0 --x 1`` (option values that start with "-" but are not plain
+  decimals, which the parser must still read as values), and
   ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
@@ -96,6 +99,9 @@ README_EXAMPLES = {
     "eval-struve-l-scaled-400": ["eval", "struve-l-scaled", "--nu", "400", "--x", "600"],
     "eval-integral-subnormal": ["eval", "integral", "--gamma", "0.5", "--nu", "150",
                                 "--n", "2", "--x", "1"],
+    "eval-struve-l-dash-exponent": ["eval", "struve-l", "--nu", "-1e-3", "--x", "1"],
+    "eval-integral-dash-exponent": ["eval", "integral", "--gamma", "0.5", "--nu", "-2E-1",
+                                    "--n", "0", "--x", "1"],
     "version": ["--version"],
 }
 
