@@ -43,12 +43,6 @@ D_SCAN_POINTS = 200
 D_SCAN_LO = 1e-3
 D_SCAN_HI = 500.0
 
-#: Absolute x tolerance for the golden-section refinement.
-D_XTOL = 1e-6
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
 class BoundCoefficients(namedtuple("BoundCoefficients", "a b c")):
     """The coefficient triple multiplying the polynomial correction terms."""
 
@@ -216,56 +210,50 @@ def ratio_fn(nu: float, n: float, x: float) -> float:
 
 
 def _ratio_grid(nu: float, n: float, xs: list, tables: tuple | None = None) -> list:
-    # ratio_fn at each x: the large-x expansion point by point, every
-    # series-route point in one kernel pass that sums L and P together;
-    # tables, the kernel's (d_k, w_{k+1}) lists, carries them across calls
+    # ratio_fn at each x: the large-x expansion point by point, the rest in one pass
     larges = [_expansion_scaled(IntegralSpec(0.0, nu, n, x), x, nu) for x in xs]
     rest = [x for x, large in zip(xs, larges) if not large]
-    parts = _sums(_struve_den(nu + n), [0.25 * x * x for x in rest],
-                  _series_cap(max(rest, default=0.0)), "ratio_fn",
-                  lambda k: (n + 2.0) / (n + 2.0 * k + 4.0), tables)
-    series = iter([x / (n + 2.0) * (part[4] / part[0]) for x, part in zip(rest, parts)])
+    series = iter([r for r, _, _ in _ratio_sums(nu, n, rest, tables)])
     return [large[0] / struve_l_scaled(nu + n, x).value if large else next(series)
             for x, large in zip(xs, larges)]
 
 
-def _golden_max(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section search for the maximizer of f on [a, b]."""
-    h = b - a
-    steps = int(math.ceil(math.log(xtol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(steps - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
+def _ratio_sums(nu: float, n: float, xs: list, tables: tuple | None = None) -> list:
+    # (ratio_fn, L, P) at each x, L and P summed in one kernel pass; tables,
+    # the kernel's (d_k, w_{k+1}) lists, carries them across calls
+    parts = _sums(_struve_den(nu + n), [0.25 * x * x for x in xs],
+                  _series_cap(max(xs, default=0.0)), "ratio_fn",
+                  lambda k: (n + 2.0) / (n + 2.0 * k + 4.0), tables)
+    return [(x / (n + 2.0) * (part[4] / part[0]), part[0], part[4])
+            for x, part in zip(xs, parts)]
+
+
+def _scan_grid(points: int) -> list:
+    """points log-spaced x on [D_SCAN_LO, D_SCAN_HI], the grid of the D scan."""
+    step = (math.log(D_SCAN_HI) - math.log(D_SCAN_LO)) / (points - 1)
+    return [math.exp(math.log(D_SCAN_LO) + i * step) for i in range(points)]
+
+
+def _log_slopes(nu: float, n: float, xs: list, tables: tuple, k_tables: tuple) -> list:
+    # (ratio_fn, g = x r'/r) at each x on the series route.  As x dT_k/dx =
+    # 2k T_k and k w_k = (n+2)(1 - w_k)/2, g = 1 + (n+2)(L/P - 1) - 2K/L with
+    # K = sum k T_k: a pass of its own weights T_k by k, and T_0 by 1
+    ks = _sums(_struve_den(nu + n), [0.25 * x * x for x in xs], _series_cap(max(xs)),
+               "d_constant", lambda k: k + 1.0, k_tables)
+    return [(r, 1.0 + (n + 2.0) * (l / p - 1.0) - 2.0 * (k_sum - 1.0) / l)
+            for (r, l, p), (*_, k_sum) in zip(_ratio_sums(nu, n, xs, tables), ks)]
 
 
 @lru_cache(maxsize=None)
 def _d_constant_cached(nu: float, n: float) -> DConstant:
-    log_lo = math.log(D_SCAN_LO)
-    step = (math.log(D_SCAN_HI) - log_lo) / (D_SCAN_POINTS - 1)
-    xs = [math.exp(log_lo + i * step) for i in range(D_SCAN_POINTS)]
-    tables = ([], [])
-
-    def ratio(x):
-        return _ratio_grid(nu, n, [x], tables)[0]
+    xs = _scan_grid(D_SCAN_POINTS)
+    tables, k_tables = ([], []), ([], [])
 
     # Downwards from the top: below x = (n+2) top no point can beat top,
     # as ratio_fn <= x/(n+2).  Ties keep the lowest index.  top only
     # grows, so the points from (n+2) ratio_fn(xs[-1]) up are all the scan
     # can reach; they are evaluated in one pass.
-    best, top = D_SCAN_POINTS - 1, ratio(xs[-1])
+    best, (top,) = D_SCAN_POINTS - 1, _ratio_grid(nu, n, xs[-1:], tables)
     lo = bisect_left(xs, (n + 2.0) * top, 0, D_SCAN_POINTS - 1)
     vals = _ratio_grid(nu, n, xs[lo:-1], tables)
     for i in range(D_SCAN_POINTS - 2, lo - 1, -1):
@@ -281,25 +269,36 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
             f"boundary supremum {top:.6f} at the {edge} edge "
             f"x={xs[best]:g} of [{D_SCAN_LO:g}, {D_SCAN_HI:g}]"
         )
-    argmax = _golden_max(ratio, xs[best - 1], xs[best + 1], D_XTOL)
-    return DConstant(nu, n, ratio(argmax), argmax)
+    # g's zero by Illinois (Brent 1973, ch. 4): secant steps keep the sign change,
+    # halving g at an end kept twice running, until one leaves the open bracket, as
+    # one does once g is rounding; the step after a g = 0 lands on that g's point.
+    (a, x, b), kept = xs[best - 1:best + 2], None
+    (_, ga), (_, gb) = _log_slopes(nu, n, [a, b], tables, k_tables)
+    for _ in range(100):
+        step = b - gb * (b - a) / (gb - ga)
+        if not a < step < b:
+            return DConstant(nu, n, top, x)
+        x = step
+        (r, g), = _log_slopes(nu, n, [x], tables, k_tables)
+        top = max(top, r)
+        if (g > 0.0) == (ga > 0.0):
+            a, ga, gb, kept = x, g, gb * 0.5 if kept == "b" else gb, "b"
+        else:
+            b, gb, ga, kept = x, g, ga * 0.5 if kept == "a" else ga, "a"
+    raise DSolverError(f"the secant search for D did not settle in 100 steps at nu={nu}, n={n}")
 
 
 def d_constant(nu: float, n: float) -> DConstant:
     """Supremum of ratio_fn over x > 0.
 
     A 200-point log grid, scanned from its top down to where the bound
-    ratio_fn <= x/(n+2) rules out the rest, brackets the interior maximum;
-    golden section narrows that to a bracket under 2 D_XTOL wide, whose
-    midpoint is argmax_x, and value is ratio_fn there.  Each point of the
-    scan is one kernel pass, and the scan keeps one d_k and one w_k table.
-
-    argmax_x is within D_XTOL of the maximizer where the ratio changes by
-    more than its rounding over D_XTOL; where flatter, the search follows
-    rounding noise (8e-6 off at (-0.4, 2)).  value is below the supremum
-    by at most |ratio''| D_XTOL^2 / 2 plus a few ulps.  Results are
-    memoized per (nu, n); concurrent first calls may duplicate the scan
-    but always produce identical values.
+    ratio_fn <= x/(n+2) rules out the rest, brackets the interior
+    maximum; a bracketed secant (Illinois) takes the ratio's
+    log-derivative there to its zero.  argmax_x is within 1e-6 of the
+    maximizer, and value, the largest ratio that the scan and the search
+    evaluated, within a few ulps of the supremum.  Results are memoized
+    per (nu, n); concurrent first calls may duplicate the scan but always
+    produce identical values.
     """
     _check_ratio_domain(nu, n, "d_constant")
     return _d_constant_cached(float(nu), float(n))

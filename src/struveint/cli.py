@@ -128,8 +128,16 @@ def _existing_file(path: str) -> str:
     return _not_a_directory(path)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError here; one from a closed stdout must reach main
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="struveint", allow_abbrev=False,
         description="Modified Struve integrals, their bounds, and grid verification.")
     parser.add_argument("--version", action="version",

@@ -32,4 +32,4 @@ class ToleranceNotMetError(RuntimeError):
 
 
 class DSolverError(RuntimeError):
-    """The supremum scan bracketed no interior maximum."""
+    """The supremum scan bracketed no interior maximum, or its root search did not settle."""

@@ -342,12 +342,10 @@ def check_d_properties(config: GridConfig) -> CheckResult:
     dense scan."""
     slack = config.tol("d_scan_slack")
     worst = _Worst()
-    log_lo = math.log(bounds_mod.D_SCAN_LO)
-    step = (math.log(bounds_mod.D_SCAN_HI) - log_lo) / (D_SCAN_CHECK_POINTS - 1)
+    xs = bounds_mod._scan_grid(D_SCAN_CHECK_POINTS)
     for nu, n in D_CHECK_PAIRS:
         d = bounds_mod.d_constant(nu, n)
         worst.update(2.0 * (nu + n + 1.0) - d.value, prop="cap", nu=nu, n=n)
-        xs = [math.exp(log_lo + i * step) for i in range(D_SCAN_CHECK_POINTS)]
         for x, ratio in zip(xs, bounds_mod._ratio_grid(nu, n, xs)):
             worst.update(d.value + slack - ratio, prop="scan", nu=nu, n=n, x=x)
     return worst.result("d_properties", f"scan slack {slack:g}")

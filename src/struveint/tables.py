@@ -59,15 +59,9 @@ def relative_error_tables() -> tuple[TableArtifact, TableArtifact]:
 
 
 def dconstants_table() -> TableArtifact:
-    rows = []
-    for nu in DCONST_NU:
-        d = d_constant(nu, 0.0)
-        rows.append(
-            [round(d.value, 4), _quant6(d.argmax_x), 2.0 * (nu + 0.0 + 1.0)]
-        )
-    return TableArtifact(
-        "dconstants", rows, list(DCONST_NU), ["D", "argmax_x", "upper_bound"]
-    )
+    ds = [d_constant(nu, 0.0) for nu in DCONST_NU]
+    rows = [[round(d.value, 4), _quant6(d.argmax_x), 2.0 * (d.nu + 1.0)] for d in ds]
+    return TableArtifact("dconstants", rows, list(DCONST_NU), ["D", "argmax_x", "upper_bound"])
 
 
 def make_table(kind: str) -> TableArtifact:

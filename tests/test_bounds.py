@@ -38,6 +38,7 @@ from struveint.integrals import (
     integral_closed_form,
     integral_quadrature,
 )
+from struveint.tables import TABLE_META_TOLERANCES
 
 DAMPED_HALF_0_0_1 = 0.2419096964687127  # integral at gamma=1/2, nu=n=0, x=1
 
@@ -370,7 +371,7 @@ def test_non_finite_ratio_inputs_name_their_function(fn, args, message):
 def _full_scan(nu, n):
     # the full 200-point scan and max() that the descending scan replaces,
     # ratio_fn from its series alone (the large-x expansion switched off by
-    # the caller): (bracket, D, argmax) or DSolverError
+    # the caller): (bracket, every ratio of the scan) or DSolverError
     xs = log_grid(bounds_mod.D_SCAN_LO, bounds_mod.D_SCAN_HI, bounds_mod.D_SCAN_POINTS)
     vals = [ratio_fn(nu, n, x) for x in xs]
     best = max(range(len(xs)), key=vals.__getitem__)
@@ -381,10 +382,7 @@ def _full_scan(nu, n):
             f"boundary supremum {vals[best]:.6f} at the {edge} edge "
             f"x={xs[best]:g} of [{bounds_mod.D_SCAN_LO:g}, {bounds_mod.D_SCAN_HI:g}]"
         )
-    bracket = xs[best - 1], xs[best + 1]
-    argmax = bounds_mod._golden_max(lambda x: ratio_fn(nu, n, x), *bracket,
-                                    bounds_mod.D_XTOL)
-    return bracket, ratio_fn(nu, n, argmax), argmax
+    return [xs[best - 1], xs[best + 1]], vals
 
 
 FULL_SCAN_PAIRS = sorted(
@@ -396,15 +394,16 @@ FULL_SCAN_PAIRS = sorted(
 
 @pytest.mark.parametrize("nu,n", FULL_SCAN_PAIRS)
 def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
-    # the pruned scan and the large-x ratio leave the bracket, D, its
-    # argmax and the edge diagnosis bit for bit as the full scan gave them
+    # the pruned scan and the large-x ratio hand the root search the
+    # bracket, and give the edge diagnosis, bit for bit as the full scan
+    # did; D is at least every ratio of the full scan
     try:
         with monkeypatch.context() as series_only:
             series_only.setattr(bounds_mod, "_expansion_scaled", lambda *args: None)
-            bracket, value, argmax = _full_scan(nu, n)
+            bracket, vals = _full_scan(nu, n)
     except DSolverError as exc:
         bracket, failure = None, str(exc)
-    golden = count_calls(monkeypatch, bounds_mod, "_golden_max")
+    slopes = count_calls(monkeypatch, bounds_mod, "_log_slopes")
     bounds_mod._d_constant_cached.cache_clear()
     try:
         if bracket is None:
@@ -415,29 +414,28 @@ def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
         d = d_constant(nu, n)
     finally:
         bounds_mod._d_constant_cached.cache_clear()
-    assert [(a.hex(), b.hex()) for _, a, b, _ in golden] == [
-        (bracket[0].hex(), bracket[1].hex())]
-    assert (d.value.hex(), d.argmax_x.hex()) == (value.hex(), argmax.hex())
+    assert [x.hex() for x in slopes[0][2]] == [x.hex() for x in bracket]
+    assert d.value >= max(vals)
 
 
 # D and its argmax at the 12 default pairs, the D_CHECK_PAIRS and a pair
 # whose argmax lies in the large-x expansion range, as float.hex
 D_PINS = {
-    (-0.4, 0.0): ("0x1.045237e2cda55p+0", "0x1.9e813f2df8b1cp+2"),
-    (-0.4, 0.5): ("0x1.03e7b4cd2259dp+0", "0x1.eb388d10b8b8cp+2"),
-    (-0.4, 2.0): ("0x1.00880a96bd0a4p+0", "0x1.9bccfdf2efde2p+4"),
-    (0.0, 0.0): ("0x1.1bba572f8d0d5p+0", "0x1.4d150490a685ep+2"),
-    (0.0, 0.5): ("0x1.1482d2be0c26ap+0", "0x1.9e11b9c9dc8a0p+2"),
-    (0.0, 2.0): ("0x1.0743e930ca643p+0", "0x1.7810680b0d3c9p+3"),
-    (1.0, 0.0): ("0x1.5486dd8f8610fp+0", "0x1.53e68594d4529p+2"),
-    (1.0, 0.5): ("0x1.3e3c1539d6032p+0", "0x1.97bbb33d148c0p+2"),
-    (1.0, 2.0): ("0x1.1c8ec2cb9f879p+0", "0x1.429100a5b3d8dp+3"),
-    (3.0, 0.0): ("0x1.b14d9bd8f3da7p+0", "0x1.8de5acd543b3dp+2"),
-    (3.0, 0.5): ("0x1.8659e0a28b4cdp+0", "0x1.c93d2d7d4263ap+2"),
-    (3.0, 2.0): ("0x1.4629042b1ba73p+0", "0x1.46bda9df74156p+3"),
-    (5.0, 0.0): ("0x1.fd362afa192a5p+0", "0x1.c584dd3fed810p+2"),
-    (10.0, 0.0): ("0x1.4ab89746d173ep+1", "0x1.1dc602b3cd47bp+3"),
-    (-0.458, 3.365): ("0x1.00070377204d0p+0", "0x1.8b8119e9262cfp+7"),
+    (-0.4, 0.0): ("0x1.045237e2cda56p+0", "0x1.9e813fd3bfcd7p+2"),
+    (-0.4, 0.5): ("0x1.03e7b4cd2259cp+0", "0x1.eb388d7fd02c9p+2"),
+    (-0.4, 2.0): ("0x1.00880a96bd0a9p+0", "0x1.9bcd066163778p+4"),
+    (0.0, 0.0): ("0x1.1bba572f8d0d8p+0", "0x1.4d1503e918d36p+2"),
+    (0.0, 0.5): ("0x1.1482d2be0c271p+0", "0x1.9e11bba2fb1c3p+2"),
+    (0.0, 2.0): ("0x1.0743e930ca644p+0", "0x1.781068d85400ap+3"),
+    (1.0, 0.0): ("0x1.5486dd8f86112p+0", "0x1.53e686557793ep+2"),
+    (1.0, 0.5): ("0x1.3e3c1539d6034p+0", "0x1.97bbb26f631aap+2"),
+    (1.0, 2.0): ("0x1.1c8ec2cb9f87ap+0", "0x1.4290ffebd997dp+3"),
+    (3.0, 0.0): ("0x1.b14d9bd8f3dabp+0", "0x1.8de5ac99840e3p+2"),
+    (3.0, 0.5): ("0x1.8659e0a28b4dbp+0", "0x1.c93d2f2750d77p+2"),
+    (3.0, 2.0): ("0x1.4629042b1ba77p+0", "0x1.46bda9ca5714ap+3"),
+    (5.0, 0.0): ("0x1.fd362afa192a9p+0", "0x1.c584dc5d9c5d8p+2"),
+    (10.0, 0.0): ("0x1.4ab89746d1740p+1", "0x1.1dc602b776ea9p+3"),
+    (-0.458, 3.365): ("0x1.00070377204cfp+0", "0x1.8b810f56f7304p+7"),
 }
 
 
@@ -496,51 +494,43 @@ def test_d_constant_matches_the_supremum(nu, n):
 
 @pytest.mark.parametrize("nu,n", sorted(D_PINS))
 def test_d_constant_is_within_its_guarantee(nu, n):
-    # D = ratio_fn(argmax), argmax within D_XTOL of the maximizer where the
-    # ratio resolves it: D lies below the supremum by at most the ratio's
-    # drop over D_XTOL, |r''| D_XTOL^2 / 2, plus rounding (4 eps), and
-    # above it by rounding alone
+    # D within 4 ulps of the 40-digit supremum, above or below, and
+    # argmax_x within 1e-6 of the maximizer: the argmax_xtol that
+    # `table dconstants --format json` prints
     mp = pytest.importorskip("mpmath")
     d = d_constant(nu, n)
-    eps = 2.0**-52
     with mp.workdps(40):
         sup, x = _mp_supremum(mp, nu, n, d.argmax_x)
-        drop = abs(mp.diff(lambda t: _mp_ratio(mp, nu, n, t), x, 2)) * bounds_mod.D_XTOL**2 / 2
-        assert -4.0 * eps <= float((sup - d.value) / sup) <= float(drop / sup) + 4.0 * eps
-
-
-def test_d_constant_argmax_within_xtol():
-    # at (0, 0) the ratio's curvature resolves its maximizer to D_XTOL
-    mp = pytest.importorskip("mpmath")
-    d = d_constant(0.0, 0.0)
-    with mp.workdps(40):
-        _, x = _mp_supremum(mp, 0.0, 0.0, d.argmax_x)
-        assert abs(d.argmax_x - x) <= bounds_mod.D_XTOL
+        assert abs(float(d.value - sup)) <= 4.0 * math.ulp(float(sup))
+        assert abs(float(d.argmax_x - x)) <= TABLE_META_TOLERANCES["dconstants"]["argmax_xtol"]
 
 
 def test_d_scan_sums_its_grid_in_one_pass(monkeypatch):
-    # one kernel pass, P and L together, per _ratio_grid call: the top,
-    # the grid, each golden-section step and the final value; the whole
-    # cold scan shares one d_k and one w_k table, so each d_k is computed
-    # once, golden steps included
+    # one kernel pass, P and L together, for the top and one for the grid
+    # (_ratio_grid), then two per point of the root search (_log_slopes):
+    # P and L, and the sum of k T_k.  The scan's passes share one d_k and
+    # one w_k table, the k T_k passes another pair, so each d_k of either
+    # is computed once; a cold d_constant(1, 0) takes at most 32 passes
     sums = count_calls(monkeypatch, bounds_mod, "_sums")
     grids = count_calls(monkeypatch, bounds_mod, "_ratio_grid")
-    golden = count_calls(monkeypatch, bounds_mod, "_golden_max")
+    slopes = count_calls(monkeypatch, bounds_mod, "_log_slopes")
     tabulated = record_indices(monkeypatch, bounds_mod, "_struve_den")
     bounds_mod._d_constant_cached.cache_clear()
     try:
         d_constant(1.0, 0.0)
     finally:
         bounds_mod._d_constant_cached.cache_clear()
-    (_, a, b, xtol), = golden
-    steps = math.ceil(math.log(xtol / (b - a)) / math.log(bounds_mod._INV_PHI))
-    assert len(grids) == 1 + 1 + (steps + 1) + 1
-    assert len(sums) == len(grids)
-    assert all(call[4] is not None for call in sums)  # each pass also sums P
-    tables, = {id(call[5]): call[5] for call in sums}.values()
-    ks = [k for calls in tabulated for k in calls]
-    assert ks == list(range(len(ks))) and len(ks) > 0
-    assert len(tables[0]) == len(tables[1]) == len(ks)
+    assert len(grids) == 2
+    assert [len(call[2]) for call in slopes] == [2] + [1] * (len(slopes) - 1)
+    assert len(sums) == len(grids) + 2 * len(slopes) <= 32
+    assert all(call[4] is not None for call in sums)  # each pass sums a weighted sum
+    pairs = {}
+    for call, ks in zip(sums, tabulated):
+        pairs.setdefault(id(call[5]), (call[5], []))[1].extend(ks)
+    assert len(pairs) == 2
+    for tables, ks in pairs.values():
+        assert ks == list(range(len(ks))) and len(ks) > 0
+        assert len(tables[0]) == len(tables[1]) == len(ks)
 
 
 def test_d_solver_reports_boundary_supremum(monkeypatch):

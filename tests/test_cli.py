@@ -413,14 +413,21 @@ def test_usage_errors_exit_2(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_1_quietly(unbuffered):
-    # `struveint ... | true`: the reader is gone before the child writes
+@pytest.mark.parametrize(
+    "args,unbuffered",
+    [(args, unbuffered) for args in (["eval", "struve-l", "--nu", "0", "--x", "1"],
+                                     ["--help"], ["--version"])
+     for unbuffered in ("", "1")],
+    ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered",
+         "version-buffered", "version-unbuffered"],
+)
+def test_closed_stdout_exits_1_quietly(args, unbuffered):
+    # `struveint ... | true`: the reader is gone before the child writes;
+    # argparse itself writes --help and --version
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _child(["eval", "struve-l", "--nu", "0", "--x", "1"],
-                      env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+        proc = _child(args, env={"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
@@ -477,7 +484,7 @@ TABLE2_CSV = r"""nu\x,0.5,5,10,25,50,100,250
 
 DCONSTANTS_CSV = r"""nu,D,argmax_x,upper_bound
 0,1.1083,5.20441,2
-1,1.3302,5.31094,4
+1,1.3302,5.31095,4
 3,1.6926,6.21714,8
 5,1.9891,7.08623,12
 10,2.5838,8.93042,22
