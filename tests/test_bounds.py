@@ -505,6 +505,20 @@ def test_d_constant_is_within_its_guarantee(nu, n):
         assert abs(float(d.argmax_x - x)) <= TABLE_META_TOLERANCES["dconstants"]["argmax_xtol"]
 
 
+def test_d_constant_argmax_within_xtol():
+    # a cold d_constant(0, 0) puts its argmax within the printed
+    # argmax_xtol of the 40-digit maximizer
+    mp = pytest.importorskip("mpmath")
+    bounds_mod._d_constant_cached.cache_clear()
+    try:
+        d = d_constant(0.0, 0.0)
+    finally:
+        bounds_mod._d_constant_cached.cache_clear()
+    with mp.workdps(40):
+        _, x = _mp_supremum(mp, 0.0, 0.0, d.argmax_x)
+        assert abs(float(d.argmax_x - x)) <= TABLE_META_TOLERANCES["dconstants"]["argmax_xtol"]
+
+
 def test_d_scan_sums_its_grid_in_one_pass(monkeypatch):
     # one kernel pass, P and L together, for the top and one for the grid
     # (_ratio_grid), then two per point of the root search (_log_slopes):
