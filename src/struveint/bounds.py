@@ -23,7 +23,6 @@ from .integrals import (
     _expansion_scaled,
     _leave,
     _power_series,
-    integral_power_series,
     integral_quadrature,
 )
 from .specfun import (
@@ -98,7 +97,7 @@ def lower_bi1(nu: float, x: float) -> float:
         raise DomainError(f"bi1 requires nu > -3/2, got nu={nu}")
     if x <= 0.0:
         raise DomainError(f"bi1 requires x > 0, got x={x}")
-    return integral_power_series(nu, 1.0, x).value
+    return _leave(lambda k: _power_series(nu, 1.0, x, x - k).value, 0.0, nu, x, "lower_bi1")
 
 
 def _check_bi23_domain(nu: float, n: float, x: float, name: str) -> None:

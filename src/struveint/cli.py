@@ -6,14 +6,19 @@ Subcommands:
   table   emit a reference table (table1, table2, dconstants)
   verify  run the inequality-verification grid and report per check
 
-Output is deterministic (fixed field order and formatting); CSV uses
-RFC-4180-style quoting, JSON fixed key order.  Usage errors exit 2; an evaluation
-failure or a file that cannot be opened prints "error: ..." and exits 1.
+Every output goes through one CSV writer (the csv module: RFC-4180-style
+quoting, "\n" line ends) and one JSON writer (indent 2, a trailing newline).
+Emission is deterministic: fixed field order, fixed decimal formatting.  Usage
+errors exit 2; an evaluation failure or a file that cannot be opened prints
+"error: ..." and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import errno
+import io
 import json
 import os
 import sys
@@ -21,11 +26,10 @@ import sys
 from . import __version__
 from .bounds import d_constant
 from .exceptions import ConvergenceError, DomainError, DSolverError, ToleranceNotMetError
-from .gridcheck import (GridConfig, run_verification, verification_to_csv,
-                        verification_to_json)
+from .gridcheck import GridConfig, run_verification
 from .integrals import IntegralSpec, integral_quadrature
 from .specfun import struve_l, struve_l_scaled
-from .tables import TABLE_KINDS, make_table, table_to_csv, table_to_json
+from .tables import TABLE_KINDS, TABLE_META_TOLERANCES, make_table
 
 EVAL_FUNCTIONS = ("struve-l", "struve-l-scaled", "integral")
 
@@ -37,6 +41,9 @@ _EVAL_ERRORS = (DomainError, ConvergenceError, ToleranceNotMetError, DSolverErro
 #: The options that take a value, even one that starts with "-" (``_glue``).
 _VALUE_OPTIONS = {"--nu", "--n", "--gamma", "--x", "--format", "--out", "--config"}
 
+#: The fields of one verify check, in output order; the CSV calls "name" "check".
+_VERIFY_FIELDS = ("name", "status", "points", "skipped", "worst_margin", "witness", "note")
+
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
@@ -45,6 +52,16 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _write_csv(rows, out: str | None) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _emit(buf.getvalue(), out)
+
+
+def _write_json(payload: dict, out: str | None) -> None:
+    _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
 def cmd_eval(args) -> None:
@@ -66,21 +83,15 @@ def cmd_eval(args) -> None:
         row = {"function": function, "nu": nu, "x": x, "value": result.value,
                "abs_error_estimate": result.abs_error_estimate,
                "terms_used": result.terms_used}
-    _emit(_format_row(row, args.fmt), args.out)
+    if args.fmt == "json":
+        _write_json(row, args.out)
+    elif args.fmt == "csv":
+        _write_csv([list(row), map(_num, row.values())], args.out)
+    else:
+        _emit("".join(f"{k} = {_num(v)}\n" for k, v in row.items()), args.out)
 
 
-def _format_row(row: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(row, indent=2) + "\n"
-    if fmt == "csv":
-        header = ",".join(row)
-        values = ",".join(_csv_num(v) for v in row.values())
-        return f"{header}\n{values}\n"
-    lines = [f"{k} = {_csv_num(v)}" for k, v in row.items()]
-    return "\n".join(lines) + "\n"
-
-
-def _csv_num(v) -> str:
+def _num(v) -> str:
     return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
@@ -91,15 +102,22 @@ def cmd_dconst(args) -> None:
     payload = {"nu": args.nu, "n": args.n, "value": round(d.value, 4),
                "argmax_x": float(f"{d.argmax_x:.6g}"),
                "bound": 2.0 * (args.nu + args.n + 1.0)}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(payload, args.out)
 
 
 def cmd_table(args) -> None:
     """Emit a reference table: relative errors of the corollary lower
     (table1) or upper (table2) bound, or the computed D constants."""
-    artifact = make_table(args.kind)
-    text = table_to_csv(artifact) if args.fmt == "csv" else table_to_json(artifact)
-    _emit(text, args.out)
+    kind, rows, row_labels, col_labels = make_table(args.kind)
+    if args.fmt == "json":
+        _write_json({"kind": kind, "rows": rows, "row_labels": row_labels,
+                     "col_labels": col_labels,
+                     "meta": {"tolerances": TABLE_META_TOLERANCES[kind]}}, args.out)
+        return
+    entry = "{:.6g}" if kind == "dconstants" else "{:.4f}"
+    _write_csv([["nu" if kind == "dconstants" else "nu\\x", *col_labels]]
+               + [[f"{label:g}", *map(entry.format, row)]
+                  for label, row in zip(row_labels, rows)], args.out)
 
 
 def cmd_verify(args) -> None:
@@ -107,9 +125,15 @@ def cmd_verify(args) -> None:
     nonzero if any check fails."""
     config = GridConfig.from_json(args.config) if args.config else GridConfig()
     results = run_verification(config)
-    text = (verification_to_csv(results) if args.fmt == "csv"
-            else verification_to_json(results, config))
-    _emit(text, args.out)
+    rows = [[r.name, "pass" if r.passed else "fail", r.points, r.skipped,
+             f"{r.worst_margin:.6g}", r.witness, r.note] for r in results]
+    if args.fmt == "csv":
+        _write_csv([["check", *_VERIFY_FIELDS[1:]], *rows], args.out)
+    else:
+        checks = [dict(zip(_VERIFY_FIELDS, row), worst_margin=float(row[4])) for row in rows]
+        _write_json({"kind": "verification", "passed": all(r.passed for r in results),
+                     "checks": checks, "meta": {"tolerances": config.tolerances}},
+                    args.out)
     failures = [r.name for r in results if not r.passed]
     if failures:
         print(f"FAILED checks: {', '.join(failures)}", file=sys.stderr)
@@ -186,6 +210,9 @@ def main(argv: list[str] | None = None) -> None:
     try:
         try:
             args = _parser().parse_args(_glue(sys.argv[1:] if argv is None else argv))
+            if args.out is not None and not os.path.exists(os.path.dirname(args.out) or "."):
+                # before the run, which may be long, not after it
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
             args.run(args)
         finally:
             sys.stdout.flush()

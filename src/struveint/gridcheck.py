@@ -10,14 +10,12 @@ The product-grid checks (oracle agreement, inequality ordering,
 monotonicity in x) read their grids from a GridConfig; the remaining
 checks run on the fixed grids their statements prescribe.  Tolerances
 are overridable through GridConfig.tolerances, except at x = 300, where
-rate_margin derives the tolerance from x.
+rate_margin derives the tolerance from x.  run_verification returns one
+CheckResult per check; the CLI renders them as CSV or JSON.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from collections import namedtuple
 
@@ -119,6 +117,8 @@ class GridConfig(namedtuple("GridConfig",
     def from_json(cls, path: str) -> "GridConfig":
         """Read a config file holding one JSON object; raises DomainError
         when it does not."""
+        import json  # here, so that `import struveint` leaves json unloaded
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -409,38 +409,3 @@ def run_verification(config: GridConfig | None = None) -> list[CheckResult]:
     config = config if config is not None else GridConfig()
     with quadrature_memo():
         return [check(config) for check in ALL_CHECKS]
-
-
-def verification_to_csv(results: list[CheckResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["check", "status", "points", "skipped", "worst_margin", "witness", "note"]
-    )
-    for r in results:
-        writer.writerow(
-            [r.name, "pass" if r.passed else "fail", r.points, r.skipped,
-             f"{r.worst_margin:.6g}", r.witness, r.note]
-        )
-    return buf.getvalue()
-
-
-def verification_to_json(results: list[CheckResult], config: GridConfig) -> str:
-    payload = {
-        "kind": "verification",
-        "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "status": "pass" if r.passed else "fail",
-                "points": r.points,
-                "skipped": r.skipped,
-                "worst_margin": float(f"{r.worst_margin:.6g}"),
-                "witness": r.witness,
-                "note": r.note,
-            }
-            for r in results
-        ],
-        "meta": {"tolerances": config.tolerances},
-    }
-    return json.dumps(payload, indent=2) + "\n"

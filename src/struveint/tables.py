@@ -1,16 +1,12 @@
-"""Reference-table construction and delimited output.
+"""Reference-table construction.
 
 Builds the two relative-error tables for the corollary bounds on the 2F3
 expression (5 orders by 7 arguments), and a table of the computed D
-constants.  Emission is deterministic: fixed field order, fixed decimal
-formatting, RFC-4180-style CSV quoting via the csv module.
+constants, each entry quantized to the digits it is printed with.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import namedtuple
 
 from .bounds import corollary_bounds, corollary_middle, d_constant
@@ -52,7 +48,7 @@ def relative_error_tables() -> tuple[TableArtifact, TableArtifact]:
             r2.append(round((upper - middle) / middle, 4))
         rows1.append(r1)
         rows2.append(r2)
-    labels = [_fmt_label(x) for x in TABLE_X]
+    labels = [f"{x:g}" for x in TABLE_X]
     t1 = TableArtifact("table1", rows1, list(TABLE_NU), labels)
     t2 = TableArtifact("table2", rows2, list(TABLE_NU), labels)
     return t1, t2
@@ -60,7 +56,8 @@ def relative_error_tables() -> tuple[TableArtifact, TableArtifact]:
 
 def dconstants_table() -> TableArtifact:
     ds = [d_constant(nu, 0.0) for nu in DCONST_NU]
-    rows = [[round(d.value, 4), _quant6(d.argmax_x), 2.0 * (d.nu + 1.0)] for d in ds]
+    # argmax_x to 6 significant digits, so the CSV round-trips exactly
+    rows = [[round(d.value, 4), float(f"{d.argmax_x:.6g}"), 2.0 * (d.nu + 1.0)] for d in ds]
     return TableArtifact("dconstants", rows, list(DCONST_NU), ["D", "argmax_x", "upper_bound"])
 
 
@@ -72,43 +69,3 @@ def make_table(kind: str) -> TableArtifact:
     if kind == "dconstants":
         return dconstants_table()
     raise DomainError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
-
-
-def _fmt_label(v: float) -> str:
-    return f"{v:g}"
-
-
-def _quant6(v: float) -> float:
-    # Quantize to 6 significant digits so the CSV round-trips exactly.
-    return float(f"{v:.6g}")
-
-
-def _fmt_entry(kind: str, value: float) -> str:
-    if kind in ("table1", "table2"):
-        return f"{value:.4f}"
-    return f"{value:.6g}"
-
-
-def table_to_csv(artifact: TableArtifact) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if artifact.kind == "dconstants":
-        writer.writerow(["nu"] + artifact.col_labels)
-    else:
-        writer.writerow(["nu\\x"] + artifact.col_labels)
-    for label, row in zip(artifact.row_labels, artifact.rows):
-        writer.writerow(
-            [_fmt_label(label)] + [_fmt_entry(artifact.kind, v) for v in row]
-        )
-    return buf.getvalue()
-
-
-def table_to_json(artifact: TableArtifact) -> str:
-    payload = {
-        "kind": artifact.kind,
-        "rows": artifact.rows,
-        "row_labels": artifact.row_labels,
-        "col_labels": artifact.col_labels,
-        "meta": {"tolerances": TABLE_META_TOLERANCES[artifact.kind]},
-    }
-    return json.dumps(payload, indent=2) + "\n"

@@ -936,13 +936,14 @@ def test_bound_far_beyond_binary64_overflows(call):
 
 @pytest.mark.parametrize(
     "name,call",
-    [("lower_bi4", lambda: lower_bi4(0.5, 0.0, 1e6)),
+    [("lower_bi1", lambda: lower_bi1(0.0, 1e6)),
+     ("lower_bi4", lambda: lower_bi4(0.5, 0.0, 1e6)),
      ("upper_bi7", lambda: upper_bi7(0.5, 0.0, 0.5, 1e6)),
      ("corollary_middle", lambda: corollary_middle(1.0, 1e6))],
-    ids=["bi4-1e6", "bi7-1e6", "corollary-middle-1e6"],
+    ids=["bi1-1e6", "bi4-1e6", "bi7-1e6", "corollary-middle-1e6"],
 )
 def test_bound_overflow_decided_before_summing(monkeypatch, name, call):
-    # the offset (1-gamma)x - k = 5e5 is past unscale's clamp, so no
+    # the offset (1-gamma)x - k >= 5e5 is past unscale's clamp, so no
     # nonzero value survives; the x/2 = 5e5-term series is never summed
     d_constant(0.0, 0.5)
     summed = count_calls(monkeypatch, bounds_mod, "_power_series")

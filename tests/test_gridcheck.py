@@ -36,9 +36,8 @@ from struveint.gridcheck import (
     check_tightness_large_x,
     check_tightness_small_x,
     run_verification,
-    verification_to_csv,
-    verification_to_json,
 )
+from struveint.cli import main
 
 SMALL = GridConfig(
     nu_values=[0.0, 1.0],
@@ -304,10 +303,9 @@ def test_ordering_detects_corrupted_bi3(monkeypatch):
     assert "bi3" in result.witness
 
 
-def test_run_verification_shape_and_report_formats():
-    config = GridConfig(
-        nu_values=[0.0], n_values=[0.0], gamma_values=[0.0], x_values=[1.0]
-    )
+def test_run_verification_shape_and_report_formats(tmp_path, capsys):
+    grid = dict(nu_values=[0.0], n_values=[0.0], gamma_values=[0.0], x_values=[1.0])
+    config = GridConfig(**grid)
     results = run_verification(config)
     names = [r.name for r in results]
     assert names == [
@@ -322,11 +320,14 @@ def test_run_verification_shape_and_report_formats():
         "struve_monotonicity",
         "integral_monotonicity",
     ]
-    csv_text = verification_to_csv(results)
-    lines = csv_text.strip().split("\n")
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    main(["verify", "--config", str(path)])
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "check,status,points,skipped,worst_margin,witness,note"
     assert len(lines) == 11
-    payload = json.loads(verification_to_json(results, config))
+    main(["verify", "--config", str(path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "verification"
     assert len(payload["checks"]) == 10
     assert payload["meta"]["tolerances"]["oracle_rel"] == 1e-9

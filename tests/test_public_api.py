@@ -86,6 +86,14 @@ def test_all_lists_exactly_the_public_names():
         ("specfun", "log_lower_incomplete_gamma"),
         ("specfun", "_gcf_q"),
         ("specfun", "_INCGAMMA_CAP"),
+        # the CLI renders every CSV and JSON output itself
+        ("gridcheck", "verification_to_csv"),
+        ("gridcheck", "verification_to_json"),
+        ("tables", "table_to_csv"),
+        ("tables", "table_to_json"),
+        ("tables", "_fmt_label"),
+        ("tables", "_fmt_entry"),
+        ("tables", "_quant6"),
     ],
 )
 def test_unused_functions_stay_removed(module, name):
@@ -126,6 +134,18 @@ def test_import_leaves_dataclasses_unloaded():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "False\n"
+
+
+def test_import_leaves_csv_and_json_unloaded():
+    # the CLI renders every output; the library reads JSON only in GridConfig.from_json
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import struveint, sys; print('csv' in sys.modules, 'json' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "False False\n"
 
 
 def test_cli_runs_on_the_standard_library():

@@ -1,4 +1,4 @@
-"""Tests for table construction and the delimited output formats."""
+"""Tests for table construction and the tables' CSV and JSON output."""
 
 import csv
 import io
@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from struveint.cli import main
 from struveint.exceptions import DomainError
 from struveint.tables import (
     TABLE_NU,
@@ -13,9 +14,13 @@ from struveint.tables import (
     dconstants_table,
     make_table,
     relative_error_tables,
-    table_to_csv,
-    table_to_json,
 )
+
+
+def _table(capsys, kind, fmt="csv"):
+    """What ``struveint table KIND --format FMT`` prints."""
+    main(["table", kind, "--format", fmt])
+    return capsys.readouterr().out
 
 
 def test_table_dimensions():
@@ -43,24 +48,24 @@ def test_table_entries_are_4dp_quantized():
             assert v == round(v, 4)
 
 
-def test_csv_round_trip_exact():
+def test_csv_round_trip_exact(capsys):
     for kind in ("table1", "table2", "dconstants"):
         artifact = make_table(kind)
-        _, *lines = csv.reader(io.StringIO(table_to_csv(artifact)))
+        _, *lines = csv.reader(io.StringIO(_table(capsys, kind)))
         assert [[float(v) for v in line[1:]] for line in lines] == artifact.rows
         assert [float(line[0]) for line in lines] == artifact.row_labels
 
 
-def test_csv_shape():
-    text = table_to_csv(make_table("table1"))
+def test_csv_shape(capsys):
+    text = _table(capsys, "table1")
     lines = text.strip().split("\n")
     assert lines[0] == "nu\\x,0.5,5,10,25,50,100,250"
     assert len(lines) == 6
     assert lines[1].startswith("1,")
 
 
-def test_json_structure():
-    payload = json.loads(table_to_json(make_table("table2")))
+def test_json_structure(capsys):
+    payload = json.loads(_table(capsys, "table2", "json"))
     assert list(payload) == ["kind", "rows", "row_labels", "col_labels", "meta"]
     assert payload["kind"] == "table2"
     assert len(payload["rows"]) == 5
@@ -84,10 +89,8 @@ def test_make_table_rejects_unknown_kind():
         make_table("table3")
 
 
-def test_deterministic_output():
-    first = table_to_csv(make_table("table1"))
-    second = table_to_csv(make_table("table1"))
+def test_deterministic_output(capsys):
+    first = _table(capsys, "table1")
+    second = _table(capsys, "table1")
     assert first == second
-    assert table_to_json(make_table("dconstants")) == table_to_json(
-        make_table("dconstants")
-    )
+    assert _table(capsys, "dconstants", "json") == _table(capsys, "dconstants", "json")

@@ -39,8 +39,9 @@ script) on:
   gamma = 0.5, nu = 150, n = 2, x = 1 (a subnormal value), ``eval
   struve-l --nu -1e-3 --x 1`` and ``eval integral --gamma 0.5 --nu -2E-1
   --n 0 --x 1`` (option values that start with "-" but are not plain
-  decimals, which the parser must still read as values), and
-  ``--version``.
+  decimals, which the parser must still read as values), ``eval
+  struve-l --nu 0 --x 1`` and ``eval integral --gamma 0.5 --nu 1 --n 0.5
+  --x 20`` as CSV (``eval``'s one CSV output), and ``--version``.
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -105,6 +106,9 @@ README_EXAMPLES = {
     "eval-struve-l-dash-exponent": ["eval", "struve-l", "--nu", "-1e-3", "--x", "1"],
     "eval-integral-dash-exponent": ["eval", "integral", "--gamma", "0.5", "--nu", "-2E-1",
                                     "--n", "0", "--x", "1"],
+    "eval-struve-l-csv": ["eval", "struve-l", "--nu", "0", "--x", "1", "--format", "csv"],
+    "eval-integral-csv": ["eval", "integral", "--gamma", "0.5", "--nu", "1", "--n", "0.5",
+                          "--x", "20", "--format", "csv"],
     "version": ["--version"],
 }
 
