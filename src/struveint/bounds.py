@@ -81,7 +81,10 @@ def coefficients(nu: float, n: float) -> BoundCoefficients:
     top = 2.0 * nu + n + 1.0
     # top / (sqrt(pi) 2^(nu+n+1) Gamma(nu+n+5/2)); Gamma in log space, as
     # it passes DBL_MAX once nu + n > 169
-    base = top * math.exp(-(nu + n + 1.0) * _LN2 - log_gamma(nu + n + 2.5)) / SQRT_PI
+    scale = math.exp(-(nu + n + 1.0) * _LN2 - log_gamma(nu + n + 2.5))
+    if not scale:  # every coefficient underflows, also where top overflows
+        return BoundCoefficients(0.0, 0.0, 0.0)
+    base = top * scale / SQRT_PI
     a = base / (2.0 * (n + 2.0) * (nu + n + 1.0))
     b = base * (2.0 * nu + n + 3.0) / (
         8.0 * (n + 1.0) * (n + 4.0) * (nu + n + 3.0) * (nu + n + 2.5) * (nu + n + 3.5))
@@ -269,9 +272,10 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
             f"x={xs[best]:g} of [{D_SCAN_LO:g}, {D_SCAN_HI:g}]"
         )
     # g's zero by Illinois (Brent 1973, ch. 4): secant steps keep the sign change,
-    # halving g at an end kept twice running, until one leaves the open bracket, as
-    # one does once g is rounding; the step after a g = 0 lands on that g's point.
-    (a, x, b), kept = xs[best - 1:best + 2], None
+    # halving g at an end kept twice running, until |g| fails to shrink, as it
+    # does once g is rounding, or a step leaves the open bracket; the step after
+    # a g = 0 lands on that g's point.
+    (a, x, b), kept, size = xs[best - 1:best + 2], None, math.inf
     (_, ga), (_, gb) = _log_slopes(nu, n, [a, b], tables, k_tables)
     for _ in range(100):
         step = b - gb * (b - a) / (gb - ga)
@@ -280,6 +284,9 @@ def _d_constant_cached(nu: float, n: float) -> DConstant:
         x = step
         (r, g), = _log_slopes(nu, n, [x], tables, k_tables)
         top = max(top, r)
+        if not abs(g) < size:
+            return DConstant(nu, n, top, x)
+        size = abs(g)
         if (g > 0.0) == (ga > 0.0):
             a, ga, gb, kept = x, g, gb * 0.5 if kept == "b" else gb, "b"
         else:

@@ -10,26 +10,20 @@ Every output goes through one CSV writer (the csv module: RFC-4180-style
 quoting, "\n" line ends) and one JSON writer (indent 2, a trailing newline).
 Emission is deterministic: fixed field order, fixed decimal formatting.  Usage
 errors exit 2; an evaluation failure or a file that cannot be opened prints
-"error: ..." and exits 1.
+"error: ..." and exits 1.  Each subcommand imports the modules it runs when
+it runs, so --help and --version load none of the numerics.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
-import json
 import os
 import sys
 
-from . import __version__
-from .bounds import d_constant
+from . import TABLE_KINDS, __version__
 from .exceptions import ConvergenceError, DomainError, DSolverError, ToleranceNotMetError
-from .gridcheck import GridConfig, run_verification
-from .integrals import IntegralSpec, integral_quadrature
-from .specfun import struve_l, struve_l_scaled
-from .tables import TABLE_KINDS, TABLE_META_TOLERANCES, make_table
 
 EVAL_FUNCTIONS = ("struve-l", "struve-l-scaled", "integral")
 
@@ -55,12 +49,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _write_csv(rows, out: str | None) -> None:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     _emit(buf.getvalue(), out)
 
 
 def _write_json(payload: dict, out: str | None) -> None:
+    import json
+
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
@@ -70,6 +68,8 @@ def cmd_eval(args) -> None:
     if function != "integral" and (n is not None or gamma is not None):
         args.parser.error("--n and --gamma only apply to 'integral'")
     if function == "integral":
+        from .integrals import IntegralSpec, integral_quadrature
+
         spec = IntegralSpec(gamma if gamma is not None else 0.0,
                             nu, n if n is not None else 0.0, x)
         q = integral_quadrature(spec)
@@ -78,6 +78,8 @@ def cmd_eval(args) -> None:
                "abs_error_estimate": q.abs_error_estimate,
                "subdivisions": q.subdivisions}
     else:
+        from .specfun import struve_l, struve_l_scaled
+
         fn = {"struve-l": struve_l, "struve-l-scaled": struve_l_scaled}[function]
         result = fn(nu, x)
         row = {"function": function, "nu": nu, "x": x, "value": result.value,
@@ -98,6 +100,8 @@ def _num(v) -> str:
 def cmd_dconst(args) -> None:
     """Compute D = sup over x of the integral-to-function ratio,
     printed as JSON with the argmax and the theoretical cap 2(nu+n+1)."""
+    from .bounds import d_constant
+
     d = d_constant(args.nu, args.n)
     payload = {"nu": args.nu, "n": args.n, "value": round(d.value, 4),
                "argmax_x": float(f"{d.argmax_x:.6g}"),
@@ -108,6 +112,8 @@ def cmd_dconst(args) -> None:
 def cmd_table(args) -> None:
     """Emit a reference table: relative errors of the corollary lower
     (table1) or upper (table2) bound, or the computed D constants."""
+    from .tables import TABLE_META_TOLERANCES, make_table
+
     kind, rows, row_labels, col_labels = make_table(args.kind)
     if args.fmt == "json":
         _write_json({"kind": kind, "rows": rows, "row_labels": row_labels,
@@ -123,6 +129,8 @@ def cmd_table(args) -> None:
 def cmd_verify(args) -> None:
     """Run every verification check over the configured grids; exits
     nonzero if any check fails."""
+    from .gridcheck import GridConfig, run_verification
+
     config = GridConfig.from_json(args.config) if args.config else GridConfig()
     results = run_verification(config)
     rows = [[r.name, "pass" if r.passed else "fail", r.points, r.skipped,

@@ -50,6 +50,10 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _EPS = math.ulp(1.0)
 _DBL_MIN = 2.0**-1022  # the smallest normal double
+_ULP0 = math.ulp(0.0)
+#: _scale's underflow line: a sum (below 2**1024) times 2**bits, for bits
+#: below it, rounds to 0, and so does its estimate.
+_UNDERFLOW_BITS = -2200
 _LG_HALF = math.lgamma(1.5)  # log Gamma(3/2) < 0
 #: unscale's offset clamp: past it any nonzero scaled value overflows.
 UNSCALE_MAX_OFFSET = 1500.0
@@ -73,10 +77,14 @@ def gamma_fn(x: float) -> float:
 
 def log_gamma(x: float) -> float:
     """log Gamma(x) for finite x > 0 (math.lgamma), safe far beyond
-    gamma_fn's overflow point."""
+    gamma_fn's overflow point; inf where log Gamma(x) passes DBL_MAX
+    (x beyond about 2.6e305)."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma requires finite x > 0, got x={x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def _series_cap(x: float) -> int:
@@ -145,21 +153,35 @@ def _scale(parts, log_firsts, offsets, name: str, extras=None) -> list:
     ln 2 (Cody-Waite): one rounding.  With extras (rounding units per
     argument), SeriesEvals: twice the last term plus (terms + 1 + |log_first|
     + |log_first - offset| + extra) eps sum, and a subnormal unit for a value
-    below DBL_MIN.  Raises OverflowError past binary64."""
+    below DBL_MIN.  A value below 2**_UNDERFLOW_BITS is 0 (a subnormal unit
+    for its estimate), also where |log_first| is so large that the split
+    rounds.  Raises OverflowError past binary64."""
     out = []
     try:
         for part, log_first, offset in zip(parts, log_firsts, offsets):
-            bits = round((log_first - offset) / _LN2)
-            # Both subtractions are exact when |log_first| is small next to
-            # offset; else they round at the size of log_first's own error.
-            scale = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
+            try:
+                bits = round((log_first - offset) / _LN2)
+                # Both subtractions are exact when |log_first| is small next to
+                # offset; else they round at the size of log_first's own error.
+                scale = math.exp(((-offset - bits * _LN2_HI) + log_first) - bits * _LN2_LO)
+            except OverflowError:
+                # |bits| past 2**21, where the split rounds, so that exp can
+                # overflow where the value underflows, or log_first infinite
+                if not (log_first - offset) / _LN2 + part[1] < _UNDERFLOW_BITS:
+                    raise
+                if extras is None:
+                    out.append(0.0)
+                else:
+                    next(extras)
+                    out.append(SeriesEval(0.0, _ULP0, part[3]))
+                continue
             bits += part[1]
             value = math.ldexp(part[0] * scale, bits)
             if extras is not None:
                 total, _, term, count, _ = part
                 units = count + 1 + abs(log_first) + abs(log_first - offset) + next(extras)
                 err = math.ldexp((2.0 * term + units * _EPS * total) * scale, bits)
-                value = SeriesEval(value, err + math.ulp(0.0) * (value < _DBL_MIN), count)
+                value = SeriesEval(value, err + _ULP0 * (value < _DBL_MIN), count)
             out.append(value)
     except OverflowError:
         raise OverflowError(f"{name} overflows binary64") from None
@@ -266,13 +288,14 @@ def _struve_series(mu: float, power: float, xs: list, log_weights: list, offsets
         return []
     if not shared:
         lg_mu = log_gamma(mu + 1.5)
+        finite = lg_mu < math.inf  # else Gamma(mu+3/2) leaves binary64: every t_0 is 0
         heads, sizes = [], []
         for x in xs:
             h, lx = 0.5 * x, math.log(x)
             # log(x) - ln 2 where x/2 rounds (x subnormal), else log(x/2) exactly
             lh = math.log(h) if h + h == x else lx - _LN2
             first, second = (mu + 1.0) * lh, power * lx
-            heads.append(math.fsum((first, second, -_LG_HALF, -lg_mu)))
+            heads.append(math.fsum((first, second, -_LG_HALF, -lg_mu)) if finite else -math.inf)
             if estimate:
                 sizes.append(abs(first) + abs(second) - _LG_HALF + abs(lg_mu))
         parts = _sums(_struve_den(mu), [0.25 * x * x for x in xs], _series_cap(max(xs)), name)

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import TABLE_KINDS
 from .bounds import corollary_bounds, corollary_middle, d_constant
 from .exceptions import DomainError
 
 TABLE_NU = (1.0, 2.5, 5.0, 7.5, 10.0)
 TABLE_X = (0.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
 DCONST_NU = (0.0, 1.0, 3.0, 5.0, 10.0)
-
-TABLE_KINDS = ("table1", "table2", "dconstants")
 
 #: Tolerances recorded in the JSON meta block, per table kind.
 TABLE_META_TOLERANCES = {

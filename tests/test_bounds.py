@@ -421,21 +421,21 @@ def test_descending_scan_matches_full_scan(monkeypatch, nu, n):
 # D and its argmax at the 12 default pairs, the D_CHECK_PAIRS and a pair
 # whose argmax lies in the large-x expansion range, as float.hex
 D_PINS = {
-    (-0.4, 0.0): ("0x1.045237e2cda56p+0", "0x1.9e813fd3bfcd7p+2"),
-    (-0.4, 0.5): ("0x1.03e7b4cd2259cp+0", "0x1.eb388d7fd02c9p+2"),
-    (-0.4, 2.0): ("0x1.00880a96bd0a9p+0", "0x1.9bcd066163778p+4"),
-    (0.0, 0.0): ("0x1.1bba572f8d0d8p+0", "0x1.4d1503e918d36p+2"),
-    (0.0, 0.5): ("0x1.1482d2be0c271p+0", "0x1.9e11bba2fb1c3p+2"),
-    (0.0, 2.0): ("0x1.0743e930ca644p+0", "0x1.781068d85400ap+3"),
-    (1.0, 0.0): ("0x1.5486dd8f86112p+0", "0x1.53e686557793ep+2"),
-    (1.0, 0.5): ("0x1.3e3c1539d6034p+0", "0x1.97bbb26f631aap+2"),
-    (1.0, 2.0): ("0x1.1c8ec2cb9f87ap+0", "0x1.4290ffebd997dp+3"),
-    (3.0, 0.0): ("0x1.b14d9bd8f3dabp+0", "0x1.8de5ac99840e3p+2"),
-    (3.0, 0.5): ("0x1.8659e0a28b4dbp+0", "0x1.c93d2f2750d77p+2"),
+    (-0.4, 0.0): ("0x1.045237e2cda56p+0", "0x1.9e813fd3bfccep+2"),
+    (-0.4, 0.5): ("0x1.03e7b4cd2259cp+0", "0x1.eb388d7fd02d8p+2"),
+    (-0.4, 2.0): ("0x1.00880a96bd0a9p+0", "0x1.9bcd06616433fp+4"),
+    (0.0, 0.0): ("0x1.1bba572f8d0d6p+0", "0x1.4d1503e918d29p+2"),
+    (0.0, 0.5): ("0x1.1482d2be0c271p+0", "0x1.9e11bba2fb238p+2"),
+    (0.0, 2.0): ("0x1.0743e930ca644p+0", "0x1.781068d8540d1p+3"),
+    (1.0, 0.0): ("0x1.5486dd8f86112p+0", "0x1.53e6865577943p+2"),
+    (1.0, 0.5): ("0x1.3e3c1539d6034p+0", "0x1.97bbb26f631d8p+2"),
+    (1.0, 2.0): ("0x1.1c8ec2cb9f87ap+0", "0x1.4290ffebd9977p+3"),
+    (3.0, 0.0): ("0x1.b14d9bd8f3dabp+0", "0x1.8de5ac99838a9p+2"),
+    (3.0, 0.5): ("0x1.8659e0a28b4dbp+0", "0x1.c93d2f2750d83p+2"),
     (3.0, 2.0): ("0x1.4629042b1ba77p+0", "0x1.46bda9ca5714ap+3"),
-    (5.0, 0.0): ("0x1.fd362afa192a9p+0", "0x1.c584dc5d9c5d8p+2"),
+    (5.0, 0.0): ("0x1.fd362afa192a9p+0", "0x1.c584dc5d9c56ep+2"),
     (10.0, 0.0): ("0x1.4ab89746d1740p+1", "0x1.1dc602b776ea9p+3"),
-    (-0.458, 3.365): ("0x1.00070377204cfp+0", "0x1.8b810f56f7304p+7"),
+    (-0.458, 3.365): ("0x1.00070377204cfp+0", "0x1.8b810f5615defp+7"),
 }
 
 
@@ -545,6 +545,30 @@ def test_d_scan_sums_its_grid_in_one_pass(monkeypatch):
     for tables, ks in pairs.values():
         assert ks == list(range(len(ks))) and len(ks) > 0
         assert len(tables[0]) == len(tables[1]) == len(ks)
+
+
+@pytest.mark.parametrize("nu,n", [(-0.4, 2.0), (1.0, 0.5)])
+def test_d_search_stops_once_its_slope_stops_shrinking(monkeypatch, nu, n):
+    # each secant step's |g| is below the one before, but for the last:
+    # no steps are spent once g is rounding (the search took 18 and 17
+    # passes when it stopped only on a step that left the bracket)
+    slopes, original = [], bounds_mod._log_slopes
+
+    def traced(*args):
+        out = original(*args)
+        slopes.append([abs(g) for _, g in out])
+        return out
+
+    monkeypatch.setattr(bounds_mod, "_log_slopes", traced)
+    bounds_mod._d_constant_cached.cache_clear()
+    try:
+        d = d_constant(nu, n)
+    finally:
+        bounds_mod._d_constant_cached.cache_clear()
+    steps = [g for (g,) in slopes[1:]]
+    assert all(a > b for a, b in zip(steps, steps[1:-1]))
+    assert len(slopes) <= 10
+    assert (d.value.hex(), d.argmax_x.hex()) == D_PINS[nu, n]
 
 
 def test_d_solver_reports_boundary_supremum(monkeypatch):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-import struveint.cli as cli_mod
+import struveint.gridcheck as gridcheck_mod
 from struveint.bounds import _d_constant_cached
 from struveint.cli import main
 
@@ -452,7 +452,7 @@ def test_out_that_cannot_be_opened_is_an_error(command, tmp_path):
 
 def test_out_in_a_missing_directory_fails_before_the_run(runner, tmp_path, monkeypatch):
     # the grid is never run: on a large config that would take minutes
-    monkeypatch.setattr(cli_mod, "run_verification",
+    monkeypatch.setattr(gridcheck_mod, "run_verification",
                         lambda config: pytest.fail("verify ran"))
     out = tmp_path / "missing" / "out.csv"
     result = runner.invoke(["verify", "--out", str(out)])

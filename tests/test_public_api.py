@@ -164,3 +164,70 @@ def test_cli_runs_on_the_standard_library():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "False\n"
+
+
+NUMERICS = {"bounds", "gridcheck", "integrals", "quadrature", "specfun", "tables"}
+
+#: Runs the CLI on the process's arguments, whatever its exit status.
+_RUN_CLI = """\
+from struveint.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+"""
+
+
+def _loaded_submodules(code, *args):
+    """The struveint submodules that a fresh process has loaded after code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    report = ("import sys\n" + code + "print('loaded:', *sorted(m[10:] for m in sys.modules"
+              " if m.startswith('struveint.')), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", report, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    label, *loaded = proc.stderr.splitlines()[-1].split()
+    assert label == "loaded:"
+    return set(loaded)
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_submodules("import struveint\n") == set()
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--help"]], ids=["version", "help"])
+def test_cli_version_and_help_load_no_numerics(args):
+    assert _loaded_submodules(_RUN_CLI, *args) == {"cli", "exceptions"}
+
+
+def test_cli_eval_struve_l_loads_only_specfun():
+    loaded = _loaded_submodules(_RUN_CLI, "eval", "struve-l", "--nu", "0", "--x", "1")
+    assert loaded & NUMERICS == {"specfun"}
+
+
+def test_cli_verify_loads_gridcheck_and_its_imports():
+    loaded = _loaded_submodules(_RUN_CLI, "verify", "--out", os.devnull)
+    assert loaded & NUMERICS == NUMERICS - {"tables"}
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_public_name_is_its_defining_modules_object(name):
+    value = getattr(struveint, name)
+    home = importlib.import_module(value.__module__)
+    assert home.__name__.startswith("struveint.")
+    assert getattr(home, name) is value
+
+
+def test_dir_covers_all():
+    assert set(struveint.__all__) <= set(dir(struveint))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from struveint import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        struveint.no_such_name

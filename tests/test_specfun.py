@@ -17,6 +17,7 @@ import struveint.integrals as integrals_mod
 import struveint.specfun as specfun_mod
 from conftest import count_calls, log_grid, rel_err
 from struveint.bounds import (
+    coefficients,
     corollary_bounds,
     corollary_middle,
     lower_bi2,
@@ -27,7 +28,12 @@ from struveint.bounds import (
     upper_bi8,
 )
 from struveint.exceptions import ConvergenceError, DomainError
-from struveint.integrals import IntegralSpec, integral_closed_form, integral_power_series
+from struveint.integrals import (
+    IntegralSpec,
+    integral_closed_form,
+    integral_power_series,
+    integral_quadrature,
+)
 from struveint.specfun import (
     SQRT_PI,
     gamma_fn,
@@ -289,6 +295,19 @@ def test_overflow_names_the_series(call, name):
     # each value is beyond the largest double: L_0(720) is about exp(715.8)
     with pytest.raises(OverflowError, match=f"^{name} overflows binary64$"):
         call()
+
+
+@pytest.mark.parametrize("nu", [1e18, 1e20, 1e100, 1e306, 1e308])
+def test_huge_orders_underflow_instead_of_overflowing(nu):
+    # L_nu(1) < 2^-nu / Gamma(nu + 3/2) underflows to 0, and so does each
+    # integral and bound made from it; log Gamma(nu + 3/2) is beyond the
+    # largest double from about nu = 2.6e305
+    assert struve_l(nu, 1.0) == (0.0, math.ulp(0.0), 3)
+    assert integral_power_series(nu, 0.0, 1.0).value == 0.0
+    assert integral_quadrature(IntegralSpec(0.5, nu, 0.0, 1.0)).value == 0.0
+    assert lower_bi2(nu, 0.0, 1.0) == 0.0
+    assert coefficients(nu, 0.0) == (0.0, 0.0, 0.0)
+    assert log_gamma(nu) == (math.lgamma(nu) if nu < 1e300 else math.inf)
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,11 @@ script) on:
   --n 0 --x 1`` (option values that start with "-" but are not plain
   decimals, which the parser must still read as values), ``eval
   struve-l --nu 0 --x 1`` and ``eval integral --gamma 0.5 --nu 1 --n 0.5
-  --x 20`` as CSV (``eval``'s one CSV output), and ``--version``.
+  --x 20`` as CSV (``eval``'s one CSV output), and ``--version``;
+- the usage texts, which the parser builds from each subcommand's
+  docstring, options and choices: ``--help``, ``eval --help``,
+  ``dconst --help``, ``table --help`` and ``verify --help``, and ``table
+  nosuch`` (exit status 2, with the table kinds it accepts).
 
 For each command NAME it writes ``NAME.out`` (stdout) and ``NAME.err``
 (stderr, then the exit status).  Grid configs go to ``OUTDIR/configs``.
@@ -112,6 +116,15 @@ README_EXAMPLES = {
     "version": ["--version"],
 }
 
+USAGE = {
+    "help": ["--help"],
+    "eval-help": ["eval", "--help"],
+    "dconst-help": ["dconst", "--help"],
+    "table-help": ["table", "--help"],
+    "verify-help": ["verify", "--help"],
+    "table-nosuch": ["table", "nosuch"],
+}
+
 
 def commands(outdir: Path) -> dict[str, list[str]]:
     configs = outdir / "configs"
@@ -132,6 +145,7 @@ def commands(outdir: Path) -> dict[str, list[str]]:
         for fmt in ("csv", "json"):
             out[f"table-{kind}-{fmt}"] = ["table", kind, "--format", fmt]
     out.update(README_EXAMPLES)
+    out.update(USAGE)
     return out
 
 
